@@ -106,12 +106,17 @@ def effective_capacity_at(
         return 0.0
     alpha = outage_threshold(cfg, rate_bps, snr_eff)
     theta_t = qos.theta * cfg.frame_duration_s
-    p_on = math.exp(-alpha)
-    if p_on >= 1.0:
-        # alpha below float resolution: the link never drops a frame
-        return rate_bps / cfg.bandwidth_hz
-    inner = p_on * math.expm1(-theta_t * rate_bps)  # in (-1, 0]
-    return -math.log1p(inner) / (theta_t * cfg.bandwidth_hz)
+    s = theta_t * rate_bps
+    # 1 - p_on (1 - e^-s) as a sum of two positive terms, taken from alpha
+    # directly: when p_on rounds to 1 the outage term alpha survives, and
+    # once s exceeds about 37 it is the larger term
+    rest = -math.expm1(-alpha) + math.exp(-alpha - s)
+    if rest < 0.5:
+        # both terms underflow only at alpha = 0, where rest = e^-s
+        log_rest = math.log(rest) if rest > 0.0 else -s
+    else:
+        log_rest = math.log1p(math.exp(-alpha) * math.expm1(-s))
+    return -log_rest / (theta_t * cfg.bandwidth_hz)
 
 
 def _pow2(x: float) -> float:
@@ -240,6 +245,10 @@ def effective_capacity_theta0(cfg: LinkConfig, rho: float) -> EffCapResult:
         if not (lo <= candidate <= hi and math.isfinite(candidate)):
             candidate = 0.5 * (lo + hi)
         rate = candidate
+    else:
+        raise ConvergenceError(
+            f"theta = 0 rate residual stuck at {g(rate):.3e}"
+        )
 
     alpha = outage_threshold(cfg, rate, snr_eff)
     p_on = math.exp(-alpha)

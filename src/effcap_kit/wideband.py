@@ -3,9 +3,19 @@
 A channel of total bandwidth B with coherence bandwidth B_c splits into
 N = B / B_c parallel flat-fading subchannels, each running the pilot
 scheme of the narrowband model. The service state of a frame is the
-number of subchannels that are ON, which gives an N+1-state effective
-capacity. For i.i.d. subchannels with uniform power and training split
-this collapses to the single-subchannel problem at bandwidth B_c.
+number J of subchannels that are ON, which gives an N+1-state effective
+capacity. The subchannels fade independently, so the moment generating
+function of the service factorises,
+
+    E[exp(-theta T r J)] = prod_k (1 - p_k (1 - exp(-theta T r))),
+
+and the capacity is a sum over subchannels that needs no law of J
+(Wu & Negi 2003). Each term is taken from the outage threshold alpha_k
+rather than from p_k = exp(-alpha_k), so a near-sure-ON subchannel,
+whose p_k rounds to 1, keeps its outage term. The law of J, a Poisson
+binomial, is still available from transition_probabilities. For i.i.d.
+subchannels with uniform power and training split the capacity
+collapses to the single-subchannel problem at bandwidth B_c.
 
 As B_c grows with everything else held fixed, the bit energy converges
 to a closed-form minimum with a closed-form slope; both are expansions
@@ -20,11 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .effcap import EffCapResult, QosSpec, spectral_efficiency
 from .errors import ConvergenceError, DomainError
-from .link_model import LN2, LinkConfig, effective_snr, outage_threshold
+from .link_model import LN2, LinkConfig, outage_threshold
 
 __all__ = [
     "WidebandConfig",
@@ -47,6 +56,14 @@ __all__ = [
 
 _REL_TOL = 1e-12
 
+# per-subchannel tuple, the message naming its admissible range, and the
+# test for an out-of-range (finite) entry
+_SUBCHANNEL_FIELDS = (
+    ("per_subchannel_variances", "must be > 0", lambda v: v <= 0.0),
+    ("per_subchannel_powers", "must be >= 0", lambda v: v < 0.0),
+    ("per_subchannel_rho", "must lie in [0, 1]", lambda v: (v < 0.0) | (v > 1.0)),
+)
+
 
 @dataclass(frozen=True)
 class WidebandConfig:
@@ -56,6 +73,11 @@ class WidebandConfig:
     avg_power_w bounds the per-subchannel powers from above. The three
     per-subchannel tuples hold fading variance, power and training
     fraction for each subchannel in order.
+
+    Construction also derives, once, the rate-independent state every
+    evaluation needs: the effective SNR of each subchannel as a
+    read-only array. It is stored beside the fields, not as one, so
+    equality, hashing and repr see only the fields.
     """
 
     num_subchannels: int
@@ -84,27 +106,45 @@ class WidebandConfig:
                 "link.bandwidth_hz must equal num_subchannels * "
                 f"coherence_bandwidth_hz ({total!r}), got {self.link.bandwidth_hz!r}"
             )
-        for name, lower in (
-            ("per_subchannel_variances", "positive"),
-            ("per_subchannel_powers", "nonnegative"),
-            ("per_subchannel_rho", "unit-interval"),
-        ):
-            values = tuple(float(v) for v in getattr(self, name))
-            if len(values) != self.num_subchannels:
+        arrays = []
+        for name, rule, out_of_range in _SUBCHANNEL_FIELDS:
+            try:
+                values = np.fromiter(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                raise DomainError(f"{name} entries must be real numbers") from None
+            if values.size != self.num_subchannels:
                 raise DomainError(f"{name} must have one entry per subchannel")
-            for v in values:
-                if not math.isfinite(v):
+            finite = np.isfinite(values)
+            bad = ~finite | out_of_range(values)
+            if np.count_nonzero(bad):
+                # report the first offending entry, finiteness before range
+                if not finite[bad.argmax()]:
                     raise DomainError(f"{name} entries must be finite")
-                if lower == "positive" and v <= 0.0:
-                    raise DomainError(f"{name} entries must be > 0")
-                if lower == "nonnegative" and v < 0.0:
-                    raise DomainError(f"{name} entries must be >= 0")
-                if lower == "unit-interval" and not 0.0 <= v <= 1.0:
-                    raise DomainError(f"{name} entries must lie in [0, 1]")
-            object.__setattr__(self, name, values)
+                raise DomainError(f"{name} entries {rule}")
+            object.__setattr__(self, name, tuple(values.tolist()))
+            arrays.append(values)
         budget = self.link.avg_power_w
         if sum(self.per_subchannel_powers) > budget * (1.0 + _REL_TOL):
             raise DomainError("per-subchannel powers exceed the power budget")
+
+        gamma, power, rho = arrays
+        # link_model.effective_snr's closed form on every subchannel at once,
+        # with its operation order, so i.i.d. subchannels reproduce it bit
+        # for bit:
+        #   rho (1-rho) (gamma TB SNR)^2 / (rho gamma TB SNR (TB-2) + gamma TB SNR + TB - 1)
+        tb = self.link.frame_duration_s * bc
+        gts = gamma * tb * (power / (self.link.noise_psd * bc))
+        snr_eff = rho * (1.0 - rho) * gts * gts / (rho * gts * (tb - 2.0) + gts + tb - 1.0)
+        unpowered = power == 0.0
+        snr_eff.flags.writeable = unpowered.flags.writeable = False
+        object.__setattr__(self, "_snr_eff", snr_eff)
+        object.__setattr__(self, "_unpowered", unpowered)
+        # one subchannel's frame geometry, for the rate's SNR requirement
+        object.__setattr__(
+            self,
+            "_subchannel",
+            LinkConfig(self.link.frame_duration_s, bc, self.link.noise_psd, budget),
+        )
 
 
 def uniform_wideband_config(
@@ -135,28 +175,22 @@ def uniform_wideband_config(
     )
 
 
-def _subchannel_on_probabilities(wcfg: WidebandConfig, rate_bps: float) -> np.ndarray:
-    t = wcfg.link.frame_duration_s
-    n0 = wcfg.link.noise_psd
-    p_on = np.empty(wcfg.num_subchannels)
-    for k in range(wcfg.num_subchannels):
-        power = wcfg.per_subchannel_powers[k]
-        if power == 0.0:
-            p_on[k] = 0.0
-            continue
-        sub = LinkConfig(
-            frame_duration_s=t,
-            bandwidth_hz=wcfg.coherence_bandwidth_hz,
-            noise_psd=n0,
-            avg_power_w=power,
-            fading_variance=wcfg.per_subchannel_variances[k],
-        )
-        snr_eff = effective_snr(sub, wcfg.per_subchannel_rho[k]).effective_snr
-        if snr_eff <= 0.0 and rate_bps > 0.0:
-            p_on[k] = 0.0
-            continue
-        p_on[k] = math.exp(-outage_threshold(sub, rate_bps, snr_eff))
-    return p_on
+def _outage_thresholds(wcfg: WidebandConfig, rate_bps: float) -> np.ndarray:
+    """Outage threshold alpha_k of every subchannel at one rate.
+
+    alpha_k = (2^(r T / (T B_c - 1)) - 1) / snr_eff,k at a positive
+    rate, and +inf (never ON) for a subchannel without a usable
+    estimate. Raises DomainError for a negative, NaN or infinite rate.
+    """
+    # outage_threshold at unit effective SNR is the SNR the rate requires
+    required = outage_threshold(wcfg._subchannel, rate_bps, 1.0)
+    if rate_bps == 0.0:
+        # every powered subchannel carries the zero rate
+        return np.where(wcfg._unpowered, np.inf, 0.0)
+    snr_eff = wcfg._snr_eff
+    alpha = np.full(wcfg.num_subchannels, np.inf)
+    with np.errstate(over="ignore"):
+        return np.divide(required, snr_eff, out=alpha, where=snr_eff > 0.0)
 
 
 def transition_probabilities(wcfg: WidebandConfig, rate_bps: float) -> np.ndarray:
@@ -164,11 +198,13 @@ def transition_probabilities(wcfg: WidebandConfig, rate_bps: float) -> np.ndarra
 
     Entry j is the probability that exactly j of the N subchannels are
     ON. Each subchannel is an independent Bernoulli with its own ON
-    probability, so the counts follow a Poisson-binomial law, built in
-    O(N^2) by a running convolution rather than summing over the 2^N
-    subchannel subsets.
+    probability p_k = exp(-alpha_k), so the counts follow a
+    Poisson-binomial law, built in O(N^2) by a running convolution
+    rather than summing over the 2^N subchannel subsets. The capacity
+    does not need this law; it is the reference the factorised capacity
+    is tested against.
     """
-    p_on = _subchannel_on_probabilities(wcfg, rate_bps)
+    p_on = np.exp(-_outage_thresholds(wcfg, rate_bps))
     probs = np.zeros(wcfg.num_subchannels + 1)
     probs[0] = 1.0
     for p in p_on:
@@ -183,22 +219,37 @@ def effective_capacity_wideband(
 ) -> float:
     """R_E of the N+1-state service model, per Hz of total bandwidth.
 
-    R_E = -(1/(theta T B)) ln( sum_j p_j exp(-theta j r T) ) with B the
-    total bandwidth N * B_c and j the number of ON subchannels, each
-    delivering r T bits when ON.
+    With J ON subchannels, each delivering r T bits, and s = theta T r,
+    independence factorises the moment generating function, so
+
+        R_E = -(1/(theta T B)) sum_k l_k,   l_k = ln(1 - p_k (1 - e^-s))
+
+    with B the total bandwidth N * B_c and p_k = exp(-alpha_k). The sum
+    is O(N) array work and needs no count distribution. Where
+    1 - p_k (1 - e^-s) falls below 1/2, l_k is the log of its two
+    positive terms (1 - p_k) + p_k e^-s, added in log space and taken
+    from alpha_k directly, so a near-sure-ON subchannel whose p_k rounds
+    to 1 keeps its outage term (about alpha_k), which outweighs e^-s
+    once s exceeds about 37. Elsewhere l_k = log1p(p_k expm1(-s)). The
+    two branches are those of effective_capacity_at, which i.i.d.
+    subchannels reproduce.
     """
     if qos.theta <= 0.0:
         raise DomainError("effective_capacity_wideband needs theta > 0")
-    if rate_bps < 0.0:
-        raise DomainError(f"rate_bps must be >= 0, got {rate_bps!r}")
-    probs = transition_probabilities(wcfg, rate_bps)
-    t = wcfg.link.frame_duration_s
-    theta_t = qos.theta * t
-    j = np.arange(probs.size, dtype=float)
-    # log of the weighted exponential sum; robust when the sum underflows
-    log_mgf = logsumexp(-theta_t * rate_bps * j, b=probs)
+    alpha = _outage_thresholds(wcfg, rate_bps)
+    if rate_bps == 0.0:
+        return 0.0
+    theta_t = qos.theta * wcfg.link.frame_duration_s
+    s = theta_t * rate_bps
+    neg_alpha = -alpha
+    with np.errstate(divide="ignore"):
+        # log(0) at alpha_k = 0 is absorbed by logaddexp, and log1p(-1)
+        # only arises where the log_rest branch is the one taken
+        log_rest = np.logaddexp(np.log(-np.expm1(neg_alpha)), neg_alpha - s)
+        log_near_one = np.log1p(np.exp(neg_alpha) * math.expm1(-s))
+    ell = np.where(log_rest < -LN2, log_rest, log_near_one)
     total_bandwidth = wcfg.num_subchannels * wcfg.coherence_bandwidth_hz
-    return -log_mgf / (theta_t * total_bandwidth)
+    return -float(ell.sum()) / (theta_t * total_bandwidth)
 
 
 def _require_iid(wcfg: WidebandConfig) -> None:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
+from effcap_kit import effcap as effcap_module
 from effcap_kit import (
+    ConvergenceError,
     DomainError,
     GridEndpointError,
     LinkConfig,
@@ -186,6 +188,24 @@ class TestThetaZero:
         r_small = optimal_rate(cfg, QosSpec(1e-7), rho).spectral_efficiency
         assert abs(r_small - r0) / r0 < 1e-4
 
+    def test_unconverged_polish_raises(self, monkeypatch):
+        # break 2^x once Brent's method has returned, so no Newton polish
+        # step can meet the residual: the loop must raise, not fall through
+        exact = effcap_module._pow2
+        polishing = []
+
+        def brentq_then_break(f, lo, hi, maxiter):
+            root = brentq(f, lo, hi, maxiter=maxiter)
+            polishing.append(True)
+            return root
+
+        monkeypatch.setattr(effcap_module, "brentq", brentq_then_break)
+        monkeypatch.setattr(
+            effcap_module, "_pow2", lambda x: math.nan if polishing else exact(x)
+        )
+        with pytest.raises(ConvergenceError):
+            effective_capacity_theta0(make_cfg(0.5), 0.3)
+
 
 class TestSpectralEfficiency:
     def test_joint_grid_never_beats_composed(self):
@@ -208,6 +228,14 @@ class TestSpectralEfficiency:
         inner = 1.0 - np.exp(-alpha) * (-np.expm1(-theta * t * rates))
         grid = -np.log(inner) / (theta * t * b)
         assert grid.max() <= res.spectral_efficiency * (1.0 + 1e-6)
+
+    def test_near_sure_on_keeps_outage_term(self):
+        # p_on rounds to 1 here while theta T r is about 47, so the outage
+        # term alpha ~ 1.4e-18 outweighs exp(-theta T r) and sets R_E
+        cfg = LinkConfig(0.6195, 5.3964e7, 1.0, 4.458e7 * 5.3964e7, 22.294)
+        res = spectral_efficiency(cfg, QosSpec(655.66))
+        assert res.on_probability == 1.0
+        assert res.spectral_efficiency == pytest.approx(1.8735916055e-9, rel=1e-9)
 
     def test_uses_closed_form_rho(self):
         cfg = make_cfg(0.7)

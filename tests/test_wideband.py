@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 from scipy.stats import binom
 
 from effcap_kit import (
@@ -83,6 +86,21 @@ class TestWidebandConfig:
         link = LinkConfig(2e-3, 2e4, 1.0, 1e3)
         with pytest.raises(DomainError):
             WidebandConfig(2, 1e4, link, (1.0, 1.0), (500.0, 500.0), (0.5, 1.5))
+
+    def test_first_bad_entry_names_its_rule(self):
+        link = LinkConfig(2e-3, 2e4, 1.0, 1e3)
+        powers, rhos = (500.0, 500.0), (0.5, 0.5)
+        with pytest.raises(DomainError, match="must be > 0"):
+            WidebandConfig(2, 1e4, link, (-1.0, math.nan), powers, rhos)
+        with pytest.raises(DomainError, match="must be finite"):
+            WidebandConfig(2, 1e4, link, (math.inf, -1.0), powers, rhos)
+
+    def test_derived_state_is_not_a_field(self):
+        a, b = hetero_config(5), hetero_config(5)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert "snr_eff" not in repr(a)
+        assert isinstance(a.per_subchannel_powers[0], float)
 
     def test_rejects_bad_count(self):
         link = LinkConfig(2e-3, 2e4, 1.0, 1e3)
@@ -207,6 +225,76 @@ class TestWidebandCapacity:
         wcfg = uniform_wideband_config(2, 1e4, 2e-3, 1.0, 2e3)
         with pytest.raises(DomainError):
             effective_capacity_wideband(wcfg, QosSpec(0.0), 1e3)
+
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_rate(self, rate):
+        wcfg = hetero_config(3)
+        with pytest.raises(DomainError):
+            effective_capacity_wideband(wcfg, QosSpec(0.01), rate)
+        with pytest.raises(DomainError):
+            transition_probabilities(wcfg, rate)
+
+
+def poisson_binomial_capacity(wcfg, theta, rate):
+    """R_E from the law of the ON count: the route the capacity used to take."""
+    probs = transition_probabilities(wcfg, rate)
+    theta_t = theta * wcfg.link.frame_duration_s
+    j = np.arange(probs.size, dtype=float)
+    log_mgf = logsumexp(-theta_t * rate * j, b=probs)
+    return -log_mgf / (theta_t * wcfg.link.bandwidth_hz)
+
+
+@st.composite
+def hetero_cases(draw):
+    n = draw(st.integers(1, 40))
+
+    def per_subchannel(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    powers = per_subchannel(st.one_of(st.just(0.0), st.floats(100.0, 5e3)))
+    variances = per_subchannel(st.floats(0.5, 2.0))
+    rhos = per_subchannel(st.floats(0.05, 0.95))
+    # the budget only bounds the powers, so it may exceed their sum
+    link = LinkConfig(2e-3, n * 1e4, 1.0, sum(powers) + 1.0)
+    wcfg = WidebandConfig(n, 1e4, link, variances, powers, rhos)
+    rate = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e5)))
+    theta = 10.0 ** draw(st.floats(-4.0, math.log10(2.0)))
+    return wcfg, theta, rate
+
+
+class TestFactorisedCapacity:
+    @given(case=hetero_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_count_distribution(self, case):
+        wcfg, theta, rate = case
+        got = effective_capacity_wideband(wcfg, QosSpec(theta), rate)
+        assert math.isfinite(got)
+        assert 0.0 <= got <= rate / wcfg.coherence_bandwidth_hz * (1.0 + 1e-12)
+        want = poisson_binomial_capacity(wcfg, theta, rate)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_tiny_capacity_stays_positive(self):
+        # the count-distribution route returns -5.3e-121 here: its log of a
+        # sum within 1e-16 of one cannot resolve the true 8.65e-121
+        n, power, gamma, rho = 40, 882.720681721685, 1.6018657271138217, 0.15230481792926306
+        theta, rate = 0.014917105851575307, 32454.19040941773
+        wcfg = uniform_wideband_config(n, 1e4, 2e-3, 1.0, power * n, gamma, rho)
+        got = effective_capacity_wideband(wcfg, QosSpec(theta), rate)
+        sub = LinkConfig(2e-3, 1e4, 1.0, power, gamma)
+        narrow = effective_capacity_at(sub, QosSpec(theta), rate, rho)
+        assert narrow == pytest.approx(8.652e-121, rel=1e-3)
+        assert got == pytest.approx(narrow, rel=1e-10, abs=0.0)
+
+    def test_near_sure_on_matches_narrowband(self):
+        # p_on rounds to 1 on every subchannel; the outage term must still
+        # set the capacity, exactly as in the narrowband evaluation
+        t, b, snr, theta, gamma = 0.6195, 5.3964e7, 4.458e7, 655.66, 22.294
+        sub = LinkConfig(t, b, 1.0, snr * b, gamma)
+        best = spectral_efficiency(sub, QosSpec(theta))
+        wcfg = uniform_wideband_config(4, b, t, 1.0, 4 * snr * b, gamma, best.rho_used)
+        got = effective_capacity_wideband(wcfg, QosSpec(theta), best.rate_opt_bps)
+        assert got == pytest.approx(best.spectral_efficiency, rel=1e-10, abs=0.0)
+        assert got == pytest.approx(1.8735916055e-9, rel=1e-9)
 
 
 class TestOptimizeIid:
