@@ -1,7 +1,9 @@
 """Bracketed golden-section search on a scalar interval.
 
-Derivative-free and safe for smooth unimodal objectives. Used for the
-training-split maximizer and for the bit-energy grid refinement.
+Derivative-free and safe for smooth unimodal objectives. It backs
+rho_opt_numeric, the numerical cross-check of the closed-form training
+split; the tests also use it as the reference route for the bit-energy
+minimum.
 """
 
 import math
@@ -36,7 +38,3 @@ def golden_max(f, a: float, b: float, xtol: float) -> float:
             fd = f(d)
     return 0.5 * (a + b)
 
-
-def golden_min(f, a: float, b: float, xtol: float) -> float:
-    """Return the approximate minimizer of f on [a, b]."""
-    return golden_max(lambda x: -f(x), a, b, xtol)

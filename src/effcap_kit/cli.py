@@ -324,6 +324,26 @@ def _summary_queue(rows):
     ]
 
 
+# se-vs-ebn0 and ebn0-vs-snr write the same columns; they differ only in
+# the figure a recipe reads off them
+_NARROWBAND = _Target(
+    columns=(
+        "theta",
+        "snr",
+        "snr_db",
+        "rho_opt",
+        "rate_opt_bps",
+        "alpha_opt",
+        "on_probability",
+        "spectral_efficiency",
+        "ebn0",
+        "ebn0_db",
+    ),
+    worker=_row_narrowband,
+    build_items=_items_narrowband,
+    summarize=_summary_bit_energy,
+)
+
 _TARGET_TABLE = {
     "rho-vs-snr": _Target(
         columns=("snr", "snr_db", "rho_opt", "eta", "snr_eff_opt"),
@@ -331,40 +351,8 @@ _TARGET_TABLE = {
         build_items=_items_rho,
         summarize=_summary_rho,
     ),
-    "se-vs-ebn0": _Target(
-        columns=(
-            "theta",
-            "snr",
-            "snr_db",
-            "rho_opt",
-            "rate_opt_bps",
-            "alpha_opt",
-            "on_probability",
-            "spectral_efficiency",
-            "ebn0",
-            "ebn0_db",
-        ),
-        worker=_row_narrowband,
-        build_items=_items_narrowband,
-        summarize=_summary_bit_energy,
-    ),
-    "ebn0-vs-snr": _Target(
-        columns=(
-            "theta",
-            "snr",
-            "snr_db",
-            "rho_opt",
-            "rate_opt_bps",
-            "alpha_opt",
-            "on_probability",
-            "spectral_efficiency",
-            "ebn0",
-            "ebn0_db",
-        ),
-        worker=_row_narrowband,
-        build_items=_items_narrowband,
-        summarize=_summary_bit_energy,
-    ),
+    "se-vs-ebn0": _NARROWBAND,
+    "ebn0-vs-snr": _NARROWBAND,
     "ebn0min-vs-bandwidth": _Target(
         columns=("theta", "bandwidth_hz", "snr_at_min", "ebn0_min_db"),
         worker=_row_ebn0min,
@@ -533,16 +521,16 @@ _LINK = [
 
 _THETAS = _Param("theta-list", "thetas", help="comma-separated QoS exponents")
 
+_NARROWBAND_PARAMS = (
+    _GRID_SNR + _LINK + [_Param("bandwidth", "float", help="link bandwidth in Hz"), _THETAS]
+)
+
 _TARGET_PARAMS = {
     "rho-vs-snr": _GRID_SNR
     + _LINK
     + [_Param("bandwidth", "float", help="link bandwidth in Hz")],
-    "se-vs-ebn0": _GRID_SNR
-    + _LINK
-    + [_Param("bandwidth", "float", help="link bandwidth in Hz"), _THETAS],
-    "ebn0-vs-snr": _GRID_SNR
-    + _LINK
-    + [_Param("bandwidth", "float", help="link bandwidth in Hz"), _THETAS],
+    "se-vs-ebn0": _NARROWBAND_PARAMS,
+    "ebn0-vs-snr": _NARROWBAND_PARAMS,
     "ebn0min-vs-bandwidth": _GRID_BAND
     + _LINK
     + [

@@ -15,11 +15,12 @@ derives the bit-energy diagnostics from it.
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
-from ._scalar import golden_min
 from .errors import ConvergenceError, DomainError, GridEndpointError
 from .link_model import (
+    _EXP_ARG_MAX,
     LN2,
     LinkConfig,
     effective_snr,
@@ -46,6 +47,15 @@ __all__ = [
 RESIDUAL_TOL = 1e-12
 
 _BRACKET_ITER_MAX = 200
+
+# array rate solve: Newton steps in ln r, stopped once every step is
+# below _NEWTON_STEP_TOL (a relative rate change)
+_NEWTON_ITER_MAX = 60
+_NEWTON_STEP_TOL = 1e-12
+
+# first-order condition of the bit-energy minimum: |h| is dimensionless
+_SLOPE_GAP_TOL = 1e-10
+_SLOPE_GAP_ITER_MAX = 60
 
 
 @dataclass(frozen=True)
@@ -291,8 +301,141 @@ def bit_energy_db(cfg: LinkConfig, qos: QosSpec) -> float:
     return 10.0 * math.log10(bit_energy(cfg, qos))
 
 
-def _bit_energy_db_at_snr(cfg: LinkConfig, qos: QosSpec, snr: float) -> float:
-    return bit_energy_db(with_nominal_snr(cfg, snr), qos)
+def _spectral_efficiency_grid(cfg: LinkConfig, theta: float, snrs):
+    """Jointly optimal R_E at every nominal SNR of an array, in one solve.
+
+    The array form of spectral_efficiency on with_nominal_snr(cfg, snr):
+    the closed-form rho and effective SNR in the scalar operation order,
+    then Newton's method on the rate stationarity condition in log form,
+    G(u) = 0 with u = ln r, for all SNRs at once. For theta > 0,
+
+        G(u) = ln k + c r + x + ln(-expm1(-x) / (theta T)),  x = theta T r,
+
+    is f(r) = 0 of optimal_rate divided by theta T e^(-x); for theta = 0,
+    G(u) = ln k + u + c r is ln of r c e^(c r) = snr_eff. Here
+    c = T ln2 / (TB - 1) and k = c / snr_eff. G is convex and increasing
+    in u. G >= 0 at r = ln(1 + snr_eff) / c, because
+    (1 + s) ln(1 + s) >= s, and for theta > 0 also at
+    r = ln(1 + theta T / k) / (theta T), where the last term of G is at
+    least -ln k. Newton's method started at the smaller of the two
+    descends monotonically onto the root. Returns the arrays (nominal
+    SNR as with_nominal_snr realizes it, rate in bits/s, R_E in
+    bits/s/Hz).
+    """
+    t = cfg.frame_duration_s
+    b = cfg.bandwidth_hz
+    n0 = cfg.noise_psd
+    gamma = cfg.fading_variance
+    tb = cfg.symbols_per_frame
+
+    snr = np.asarray(snrs, dtype=float) * n0 * b / (n0 * b)
+    gts = gamma * tb * snr
+    eta = (gts + tb - 1.0) / (gts * (tb - 2.0))
+    rho = eta * np.expm1(0.5 * np.log1p(1.0 / eta))
+    snr_eff = rho * (1.0 - rho) * gts * gts / (rho * gts * (tb - 2.0) + gts + tb - 1.0)
+    usable = snr_eff > 0.0
+    if theta > 0.0 and not usable.all():
+        raise DomainError("effective SNR is zero at this rho; no rate is optimal")
+    snr_eff = np.where(usable, snr_eff, 1.0)
+
+    c = t * LN2 / (tb - 1.0)
+    log_k = np.log(t * LN2 / ((tb - 1.0) * snr_eff))
+    theta_t = theta * t
+    u = np.log(np.log1p(snr_eff) / c)
+    if theta > 0.0:
+        u = np.minimum(u, np.log(np.log1p(theta_t * snr_eff / c) / theta_t))
+    for _ in range(_NEWTON_ITER_MAX):
+        r = np.exp(u)
+        if theta > 0.0:
+            x = theta_t * r
+            grow = -np.expm1(-x)
+            g = log_k + c * r + x + np.log(grow / theta_t)
+            slope = c * r + x / grow
+        else:
+            g = log_k + u + c * r
+            slope = 1.0 + c * r
+        step = g / slope
+        u = u - step
+        if np.all(np.abs(step) <= _NEWTON_STEP_TOL):
+            break
+    else:
+        raise ConvergenceError(
+            f"array rate solve not converged after {_NEWTON_ITER_MAX} Newton steps"
+        )
+    rate = np.where(usable, np.exp(u), 0.0)
+
+    # outage_threshold and effective_capacity_at, elementwise
+    exponent = rate * t * LN2 / (tb - 1.0)
+    alpha = np.where(
+        exponent > _EXP_ARG_MAX, np.inf, np.expm1(np.minimum(exponent, _EXP_ARG_MAX)) / snr_eff
+    )
+    if theta == 0.0:
+        return snr, rate, rate / b * np.exp(-alpha)
+    s = theta_t * rate
+    rest = -np.expm1(-alpha) + np.exp(-alpha - s)
+    with np.errstate(divide="ignore"):
+        log_rest = np.where(
+            rest < 0.5,
+            np.where(rest > 0.0, np.log(rest), -s),
+            np.log1p(np.exp(-alpha) * np.expm1(-s)),
+        )
+    return snr, rate, -log_rest / (theta_t * b)
+
+
+def _log_slope_gap(cfg: LinkConfig, qos: QosSpec, log_snr: float) -> float:
+    """h = d ln R_E / d ln SNR - 1 at SNR = e^log_snr, from one scalar solve.
+
+    The bit energy SNR / R_E falls while h > 0 and rises while h < 0.
+    The rate and rho are optimal, so by the envelope theorem only the
+    effective SNR moves: d ln R_E / d ln snr_eff = alpha (e^w - 1) / w
+    with w = theta T B R_E (alpha at w = 0, the theta = 0 limit), and
+    d ln snr_eff / d ln SNR = 1 + (TB - 1) / D at fixed rho, where D is
+    the denominator of the effective_snr closed form.
+    """
+    link = with_nominal_snr(cfg, math.exp(log_snr))
+    res = spectral_efficiency(link, qos)
+    tb = link.symbols_per_frame
+    rho = res.rho_used
+    gts = link.fading_variance * tb * nominal_snr(link)
+    den = rho * gts * (tb - 2.0) + gts + tb - 1.0
+    w = qos.theta * link.frame_duration_s * link.bandwidth_hz * res.spectral_efficiency
+    growth = math.expm1(w) / w if w > 0.0 else 1.0
+    return res.alpha_opt * growth * (1.0 + (tb - 1.0) / den) - 1.0
+
+
+def _falling_root(h, lo: float, hi: float) -> float:
+    """Root of h on [lo, hi], where h(lo) >= 0 >= h(hi), by Illinois false position.
+
+    Stops once |h| <= _SLOPE_GAP_TOL or the bracket is down to a few
+    ulps, and raises ConvergenceError without a sign change or when the
+    iterations run out.
+    """
+    h_lo, h_hi = h(lo), h(hi)
+    if not (math.isfinite(h_lo) and math.isfinite(h_hi) and h_lo >= 0.0 >= h_hi):
+        raise ConvergenceError(
+            f"no sign change of the bit-energy slope on [{lo!r}, {hi!r}]: "
+            f"h = {h_lo!r}, {h_hi!r}"
+        )
+    kept = 0  # +1 (-1) when the last step kept the upper (lower) end
+    for _ in range(_SLOPE_GAP_ITER_MAX):
+        x = (lo * h_hi - hi * h_lo) / (h_hi - h_lo)
+        hx = h(x)
+        if abs(hx) <= _SLOPE_GAP_TOL or hi - lo <= 4e-16 * max(abs(lo), abs(hi), 1.0):
+            return x
+        if hx > 0.0:
+            lo, h_lo = x, hx
+            if kept == 1:
+                h_hi *= 0.5
+            kept = 1
+        else:
+            hi, h_hi = x, hx
+            if kept == -1:
+                h_lo *= 0.5
+            kept = -1
+    raise ConvergenceError(
+        f"bit-energy slope not zeroed after {_SLOPE_GAP_ITER_MAX} steps: "
+        f"bracket [{lo!r}, {hi!r}]"
+    )
 
 
 def min_bit_energy_numeric(
@@ -300,32 +443,39 @@ def min_bit_energy_numeric(
 ) -> tuple[float, float]:
     """Locate the bit-energy minimum over nominal SNR.
 
-    Scans the given grid (sorted, positive, at least 16 points), then
-    refines around the best grid point with golden-section search in
-    log10(SNR). cfg supplies the frame duration, bandwidth, noise PSD
-    and fading variance; its power budget is swept, not read. Returns
-    (snr_at_min, min bit energy in dB). A minimizer on a grid endpoint
-    raises GridEndpointError since the true minimum may lie outside.
+    Evaluates the joint optimum on the whole grid (sorted, positive,
+    finite, at least 16 points) in one array solve, takes the best grid
+    point, and then solves the first-order condition
+    h = d ln R_E / d ln SNR - 1 = 0 in ln(SNR) between its two
+    neighbours, with h in closed form from one scalar solve per step.
+    The returned minimum bit energy comes from the scalar route
+    (bit_energy_db) at the located SNR. cfg supplies the frame
+    duration, bandwidth, noise PSD and fading variance; its power
+    budget is swept, not read. Returns (snr_at_min, min bit energy in
+    dB). A minimizer on a grid endpoint raises GridEndpointError since
+    the true minimum may lie outside.
     """
     grid = [float(s) for s in snr_grid]
     if len(grid) < 16:
         raise DomainError(f"snr_grid needs at least 16 points, got {len(grid)}")
-    if grid[0] <= 0.0:
-        raise DomainError("snr_grid values must be positive")
+    if grid[0] <= 0.0 or not all(math.isfinite(s) for s in grid):
+        raise DomainError("snr_grid values must be positive and finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("snr_grid must be strictly increasing")
 
-    values = [_bit_energy_db_at_snr(cfg, qos, s) for s in grid]
-    best = min(range(len(grid)), key=values.__getitem__)
+    snr, _, re = _spectral_efficiency_grid(cfg, qos.theta, grid)
+    with np.errstate(divide="ignore"):
+        energy = np.where(re > 0.0, snr / re, np.inf)
+    best = int(np.argmin(energy))
     if best == 0 or best == len(grid) - 1:
         raise GridEndpointError(
             "bit-energy minimizer sits on a grid endpoint; widen the grid"
         )
 
-    def objective(log_snr: float) -> float:
-        return _bit_energy_db_at_snr(cfg, qos, 10.0**log_snr)
-
-    lo = math.log10(grid[best - 1])
-    hi = math.log10(grid[best + 1])
-    log_best = golden_min(objective, lo, hi, 1e-6)
-    return 10.0**log_best, objective(log_best)
+    log_snr = _falling_root(
+        lambda x: _log_slope_gap(cfg, qos, x),
+        math.log(grid[best - 1]),
+        math.log(grid[best + 1]),
+    )
+    snr_at_min = math.exp(log_snr)
+    return snr_at_min, bit_energy_db(with_nominal_snr(cfg, snr_at_min), qos)

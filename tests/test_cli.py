@@ -192,6 +192,20 @@ class TestDeterminism:
         assert run(args + ["--jobs", "2", "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_worker_count_does_not_change_minimum_search(self, tmp_path):
+        args = [
+            "ebn0min-vs-bandwidth",
+            "--b-min", "1e4",
+            "--b-max", "1e7",
+            "--points", "4",
+            "--theta-list", "0,0.01",
+        ]
+        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert run(args + ["--jobs", "1", "--out", str(serial)]) == 0
+        assert run(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+        assert len(read_lines(serial)) == 2 + 8
+        assert serial.read_bytes() == parallel.read_bytes()
+
     def test_queue_validate_reruns_identically(self, tmp_path):
         args = [
             "queue-validate",

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from effcap_kit import effcap as effcap_module
+from effcap_kit._scalar import golden_max
 from effcap_kit import (
     ConvergenceError,
     DomainError,
@@ -23,6 +26,7 @@ from effcap_kit import (
     optimal_rate,
     rho_opt_closed_form,
     spectral_efficiency,
+    with_nominal_snr,
 )
 
 LN2 = math.log(2.0)
@@ -339,6 +343,120 @@ class TestMinBitEnergy:
             min_bit_energy_numeric(cfg, qos, np.geomspace(1e-4, 1.0, 16)[::-1])
         with pytest.raises(DomainError):
             min_bit_energy_numeric(cfg, qos, np.linspace(-1.0, 1.0, 16))
+
+
+def golden_min_bit_energy(cfg, qos, grid):
+    """Reference route for min_bit_energy_numeric: a scalar scan of the
+    grid, then golden-section search in log10(SNR) between the best grid
+    point's neighbours, stopped at a 1e-6 bracket."""
+
+    def objective(log_snr):
+        return bit_energy_db(with_nominal_snr(cfg, 10.0**log_snr), qos)
+
+    values = [bit_energy_db(with_nominal_snr(cfg, s), qos) for s in grid]
+    best = min(range(len(grid)), key=values.__getitem__)
+    lo, hi = math.log10(grid[best - 1]), math.log10(grid[best + 1])
+    log_best = golden_max(lambda x: -objective(x), lo, hi, 1e-6)
+    return 10.0**log_best, objective(log_best)
+
+
+# recipes/fig6.cfg: 33 bandwidths, four thetas, the CLI's default SNR grid
+FIG6_BANDS = np.geomspace(1e4, 1e8, 33)
+FIG6_SNR_GRID = np.geomspace(1e-6, 10.0, 48)
+
+
+def fig6_link(bandwidth):
+    return LinkConfig(2e-3, float(bandwidth), 1.0, 1e-6 * bandwidth, 1.0)
+
+
+class TestMinBitEnergyOracle:
+    @pytest.mark.parametrize("theta", [0.0, 0.001, 0.01, 0.1, 1.0])
+    def test_fig6_rows_match_golden_section(self, theta):
+        qos = QosSpec(theta)
+        for b in FIG6_BANDS:
+            cfg = fig6_link(b)
+            snr, db = min_bit_energy_numeric(cfg, qos, FIG6_SNR_GRID)
+            want_snr, want_db = golden_min_bit_energy(cfg, qos, FIG6_SNR_GRID)
+            assert snr == pytest.approx(want_snr, rel=1e-5, abs=0.0), f"B={b}"
+            assert db == pytest.approx(want_db, rel=1e-9, abs=0.0), f"B={b}"
+
+    def test_located_snr_zeroes_the_slope_gap(self):
+        qos = QosSpec(0.01)
+        cfg = fig6_link(1e6)
+        snr, _ = min_bit_energy_numeric(cfg, qos, FIG6_SNR_GRID)
+        gap = effcap_module._log_slope_gap(cfg, qos, math.log(snr))
+        assert abs(gap) <= effcap_module._SLOPE_GAP_TOL
+
+
+def log_capacity(cfg, qos, log_snr):
+    link = with_nominal_snr(cfg, math.exp(log_snr))
+    return math.log(spectral_efficiency(link, qos).spectral_efficiency)
+
+
+class TestSlopeGap:
+    @pytest.mark.parametrize("theta", [0.0, 1e-3, 1e-2, 1.0])
+    def test_matches_central_difference(self, theta):
+        qos = QosSpec(theta)
+        step = 1e-4
+        for b in (1e5, 1e7):
+            cfg = fig6_link(b)
+            for snr in (1e-4, 1e-2, 0.3, 10.0):
+                x = math.log(snr)
+                slope = (
+                    log_capacity(cfg, qos, x + step) - log_capacity(cfg, qos, x - step)
+                ) / (2.0 * step)
+                got = effcap_module._log_slope_gap(cfg, qos, x)
+                assert got == pytest.approx(slope - 1.0, abs=1e-7), f"B={b} snr={snr}"
+
+    def test_no_sign_change_raises(self, monkeypatch):
+        monkeypatch.setattr(effcap_module, "_log_slope_gap", lambda cfg, qos, x: 1.0)
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            min_bit_energy_numeric(fig6_link(1e6), QosSpec(0.01), FIG6_SNR_GRID)
+
+    def test_exhausted_iterations_raise(self, monkeypatch):
+        monkeypatch.setattr(effcap_module, "_SLOPE_GAP_ITER_MAX", 1)
+        with pytest.raises(ConvergenceError, match="not zeroed"):
+            min_bit_energy_numeric(fig6_link(1e6), QosSpec(0.01), FIG6_SNR_GRID)
+
+
+class TestSpectralEfficiencyGrid:
+    @given(
+        log_t=st.floats(-4.0, 0.0),
+        log_b=st.floats(3.0, 9.0),
+        log_snrs=st.lists(st.floats(-8.0, 4.0), min_size=1, max_size=4),
+        theta=st.one_of(st.just(0.0), st.floats(-4.0, 1.0).map(lambda e: 10.0**e)),
+        log_gamma=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_route(self, log_t, log_b, log_snrs, theta, log_gamma):
+        t, b, gamma = 10.0**log_t, 10.0**log_b, 10.0**log_gamma
+        assume(t * b > 2.0)
+        cfg = LinkConfig(t, b, 1.0, b, gamma)
+        snrs = [10.0**e for e in log_snrs]
+        nominal, rate, re = effcap_module._spectral_efficiency_grid(cfg, theta, snrs)
+        for i, snr in enumerate(snrs):
+            link = with_nominal_snr(cfg, snr)
+            want = spectral_efficiency(link, QosSpec(theta))
+            assert nominal[i] == nominal_snr(link)
+            # the scalar rate carries Brent's absolute xtol of 2e-12 b/s
+            assert rate[i] == pytest.approx(want.rate_opt_bps, rel=1e-9, abs=1e-11)
+            assert re[i] == pytest.approx(want.spectral_efficiency, rel=1e-12, abs=0.0)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(effcap_module, "_NEWTON_ITER_MAX", 1)
+        with pytest.raises(ConvergenceError, match="Newton"):
+            min_bit_energy_numeric(fig6_link(1e6), QosSpec(0.01), FIG6_SNR_GRID)
+
+    def test_zero_effective_snr(self):
+        # gamma T B SNR = 2e-167 squares to zero in the closed form
+        cfg = fig6_link(1e6)
+        snrs = [1e-170, 1e-3]
+        with pytest.raises(DomainError):
+            effcap_module._spectral_efficiency_grid(cfg, 0.01, snrs)
+        _, rate, re = effcap_module._spectral_efficiency_grid(cfg, 0.0, snrs)
+        assert rate[0] == 0.0 and re[0] == 0.0
+        want = spectral_efficiency(with_nominal_snr(cfg, 1e-3), QosSpec(0.0))
+        assert re[1] == pytest.approx(want.spectral_efficiency, rel=1e-12, abs=0.0)
 
 
 def test_result_invariants():
