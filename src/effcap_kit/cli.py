@@ -2,8 +2,9 @@
 
 One subcommand per sweep target. Every parameter is a --key value flag;
 a plain key = value file can be passed with --config, and explicit
-flags override the file. Grid points are evaluated by a process pool
-sized with --jobs, and rows are always written in grid order.
+flags override the file. The analytic targets evaluate their grid
+points in this process; queue-validate simulates its thetas in up to
+--jobs worker processes. Rows are always written in grid order.
 
 CSV layout: the first line is a comment header naming the tool version,
 the job and the seed; the second line holds the snake_case column
@@ -20,7 +21,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +34,6 @@ from .training import rho_opt_closed_form
 from .wideband import GrowthLaw, asymptotics_sparse_bounded, bit_energy_vs_bandwidth
 
 __all__ = ["GridSpec", "SweepJob", "run_sweep", "main"]
-
-TARGETS = (
-    "rho-vs-snr",
-    "se-vs-ebn0",
-    "ebn0-vs-snr",
-    "ebn0min-vs-bandwidth",
-    "wideband-se-vs-ebn0",
-    "asymptotics-table",
-    "queue-validate",
-)
 
 _SEED_ENV = "EFFCAP_SEED"
 
@@ -91,7 +82,7 @@ class SweepJob:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.target not in TARGETS:
+        if self.target not in _TARGETS:
             raise DomainError(f"unknown target {self.target!r}")
         if not self.out_path:
             raise DomainError("out_path must be set")
@@ -127,79 +118,180 @@ def _db(x: float) -> float:
     return math.inf if x <= 0.0 else 10.0 * math.log10(x)
 
 
-# row workers are module-level functions over plain tuples so that the
-# process pool can pickle them
+# parameter declarations: one row per flag, shared between the argument
+# parser and the config-file merge
 
-def _row_rho(item):
-    snr, t, b, n0, gamma = item
-    cfg = LinkConfig(t, b, n0, snr * n0 * b, gamma)
-    sol = rho_opt_closed_form(cfg)
-    return (snr, _db(snr), sol.rho_opt, sol.eta, sol.snr_eff_opt)
+@dataclass(frozen=True)
+class _Param:
+    name: str
+    kind: str  # float | int | str | thetas
+    default: object = None  # None means required unless required=False
+    required: bool = True
+    help: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
 
 
-def _row_narrowband(item):
-    theta, snr, t, b, n0, gamma = item
-    cfg = LinkConfig(t, b, n0, snr * n0 * b, gamma)
-    res = spectral_efficiency(cfg, QosSpec(theta))
-    re = res.spectral_efficiency
-    ebn0 = math.inf if re <= 0.0 else snr / re
+def _parse_thetas(text: str) -> tuple:
+    try:
+        values = tuple(float(part) for part in str(text).split(",") if part.strip())
+    except ValueError:
+        raise DomainError(f"could not parse theta list {text!r}") from None
+    if not values:
+        raise DomainError("theta-list must name at least one value")
+    return values
+
+
+_CASTS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "thetas": _parse_thetas,
+}
+
+
+def _grid_params(prefix: str, what: str) -> tuple:
+    # in GridSpec's argument order: lo, hi, points, spacing
     return (
-        theta,
-        snr,
-        _db(snr),
-        res.rho_used,
-        res.rate_opt_bps,
-        res.alpha_opt,
-        res.on_probability,
-        re,
-        ebn0,
-        _db(ebn0),
+        _Param(f"{prefix}-min", "float", help=f"lower edge of the {what}"),
+        _Param(f"{prefix}-max", "float", help=f"upper edge of the {what}"),
+        _Param("points", "int", help="number of grid points"),
+        _Param("spacing", "str", "log", help="grid spacing, log or linear"),
     )
 
 
-def _row_ebn0min(item):
-    theta, b, t, n0, gamma, s_lo, s_hi, s_points = item
-    cfg = LinkConfig(t, b, n0, s_lo * n0 * b, gamma)
-    grid = np.geomspace(s_lo, s_hi, s_points)
-    snr_at_min, ebn0_db = min_bit_energy_numeric(cfg, QosSpec(theta), grid)
-    return (theta, b, snr_at_min, ebn0_db)
+# flags of each GridSpec axis a target can sweep
+_GRID_PARAMS = {
+    "snr": _grid_params("snr", "nominal-SNR grid"),
+    "bandwidth": _grid_params("b", "bandwidth grid in Hz"),
+}
+
+_LINK = (
+    _Param(
+        "frame-duration",
+        "float",
+        2e-3,
+        help="frame duration T in seconds (default 0.002, the value the "
+        "reference curves assume)",
+    ),
+    _Param("gamma", "float", 1.0, help="fading variance"),
+    _Param("noise-psd", "float", 1.0, help="noise spectral density in W/Hz"),
+)
+
+_BANDWIDTH = _Param("bandwidth", "float", help="link bandwidth in Hz")
+_THETAS = _Param("theta-list", "thetas", help="comma-separated QoS exponents")
+_FRAME_DURATION = _Param("frame-duration", "float", 2e-3, help="frame duration in seconds")
+_GAMMA = _Param("gamma", "float", 1.0, help="fading variance")
 
 
-def _row_wideband(item):
-    theta, b, t, gamma, power_over_n0, growth = item
-    point = bit_energy_vs_bandwidth(theta, t, growth, power_over_n0, gamma, [b])[0]
-    return (
-        theta,
-        point.bandwidth_hz,
-        point.num_subchannels,
-        point.coherence_bandwidth_hz,
-        point.snr,
-        point.spectral_efficiency,
-        point.ebn0_db,
-    )
+# row builders: rows(job) returns the CSV rows in output order
+
+def _link(job: SweepJob, snr: float) -> LinkConfig:
+    f = job.fixed
+    t, b, n0 = f["frame_duration"], f["bandwidth"], f["noise_psd"]
+    return LinkConfig(t, b, n0, snr * n0 * b, f["gamma"])
 
 
-def _row_asymptotics(item):
-    theta, t, n, power_over_nn0, gamma = item
-    a = asymptotics_sparse_bounded(theta, t, n, power_over_nn0, gamma)
-    return (
-        theta,
-        a.phi,
-        a.rho_star,
-        a.alpha_star,
-        a.xi,
-        a.delta,
-        a.ebn0_min,
-        _db(a.ebn0_min),
-        a.wideband_slope,
-    )
+def _rows_rho(job):
+    rows = []
+    for snr in job.grid.values().tolist():
+        sol = rho_opt_closed_form(_link(job, snr))
+        rows.append((snr, _db(snr), sol.rho_opt, sol.eta, sol.snr_eff_opt))
+    return rows
+
+
+def _rows_narrowband(job):
+    rows = []
+    for theta in job.theta_list:
+        qos = QosSpec(theta)
+        for snr in job.grid.values().tolist():
+            res = spectral_efficiency(_link(job, snr), qos)
+            re = res.spectral_efficiency
+            ebn0 = math.inf if re <= 0.0 else snr / re
+            rows.append(
+                (
+                    theta,
+                    snr,
+                    _db(snr),
+                    res.rho_used,
+                    res.rate_opt_bps,
+                    res.alpha_opt,
+                    res.on_probability,
+                    re,
+                    ebn0,
+                    _db(ebn0),
+                )
+            )
+    return rows
+
+
+def _rows_ebn0min(job):
+    f = job.fixed
+    t, n0, gamma, s_lo = f["frame_duration"], f["noise_psd"], f["gamma"], f["search_snr_min"]
+    search = np.geomspace(s_lo, f["search_snr_max"], f["search_snr_points"])
+    rows = []
+    for theta in job.theta_list:
+        qos = QosSpec(theta)
+        for b in job.grid.values().tolist():
+            cfg = LinkConfig(t, b, n0, s_lo * n0 * b, gamma)
+            snr_at_min, ebn0_db = min_bit_energy_numeric(cfg, qos, search)
+            rows.append((theta, b, snr_at_min, ebn0_db))
+    return rows
+
+
+def _rows_wideband(job):
+    f = job.fixed
+    b_ref = f["b_ref"] if f["b_ref"] is not None else job.grid.lo
+    growth = GrowthLaw(f["growth"], f["num_subchannels"], b_ref, f["growth_exponent"])
+    rows = []
+    for theta in job.theta_list:
+        points = bit_energy_vs_bandwidth(
+            theta, f["frame_duration"], growth, f["power_over_n0"], f["gamma"], job.grid.values()
+        )
+        rows.extend(
+            (
+                theta,
+                p.bandwidth_hz,
+                p.num_subchannels,
+                p.coherence_bandwidth_hz,
+                p.snr,
+                p.spectral_efficiency,
+                p.ebn0_db,
+            )
+            for p in points
+        )
+    return rows
+
+
+def _rows_asymptotics(job):
+    f = job.fixed
+    rows = []
+    for theta in job.theta_list:
+        a = asymptotics_sparse_bounded(
+            theta, f["frame_duration"], f["num_subchannels"], f["power_over_nn0"], f["gamma"]
+        )
+        rows.append(
+            (
+                theta,
+                a.phi,
+                a.rho_star,
+                a.alpha_star,
+                a.xi,
+                a.delta,
+                a.ebn0_min,
+                _db(a.ebn0_min),
+                a.wideband_slope,
+            )
+        )
+    return rows
 
 
 def _row_queue(item):
-    theta, snr, t, b, n0, gamma, frames, margin, seed = item
-    cfg = LinkConfig(t, b, n0, snr * n0 * b, gamma)
-    spec = SimSpec(cfg, QosSpec(theta), frames, seed, margin)
-    est = simulate_queue(spec)
+    # module level, over a picklable tuple, so that a worker process can run it
+    theta, cfg, frames, margin, seed = item
+    est = simulate_queue(SimSpec(cfg, QosSpec(theta), frames, seed, margin))
     return (
         theta,
         est.theta_hat,
@@ -213,70 +305,20 @@ def _row_queue(item):
     )
 
 
-@dataclass(frozen=True)
-class _Target:
-    columns: tuple
-    worker: object
-    build_items: object
-    summarize: object
-
-
-def _items_rho(job):
-    t, b, n0, g = (job.fixed[k] for k in ("frame_duration", "bandwidth", "noise_psd", "gamma"))
-    return [(float(s), t, b, n0, g) for s in job.grid.values()]
-
-
-def _items_narrowband(job):
-    t, b, n0, g = (job.fixed[k] for k in ("frame_duration", "bandwidth", "noise_psd", "gamma"))
-    snrs = job.grid.values()
-    return [(theta, float(s), t, b, n0, g) for theta in job.theta_list for s in snrs]
-
-
-def _items_ebn0min(job):
-    t, n0, g = (job.fixed[k] for k in ("frame_duration", "noise_psd", "gamma"))
-    s_lo = job.fixed["search_snr_min"]
-    s_hi = job.fixed["search_snr_max"]
-    s_points = job.fixed["search_snr_points"]
-    bands = job.grid.values()
-    return [
-        (theta, float(b), t, n0, g, s_lo, s_hi, s_points)
-        for theta in job.theta_list
-        for b in bands
-    ]
-
-
-def _items_wideband(job):
-    t, g, p = (job.fixed[k] for k in ("frame_duration", "gamma", "power_over_n0"))
-    growth = GrowthLaw(
-        kind=job.fixed["growth"],
-        n_ref=job.fixed["num_subchannels"],
-        b_ref=job.fixed["b_ref"],
-        exponent=job.fixed["growth_exponent"],
-    )
-    bands = job.grid.values()
-    return [(theta, float(b), t, g, p, growth) for theta in job.theta_list for b in bands]
-
-
-def _items_asymptotics(job):
-    t, n, p, g = (
-        job.fixed[k]
-        for k in ("frame_duration", "num_subchannels", "power_over_nn0", "gamma")
-    )
-    return [(theta, t, n, p, g) for theta in job.theta_list]
-
-
-def _items_queue(job):
-    t, b, n0, g, snr = (
-        job.fixed[k]
-        for k in ("frame_duration", "bandwidth", "noise_psd", "gamma", "snr")
-    )
-    frames = job.fixed["frames"]
-    margin = job.fixed["arrival_margin"]
+def _rows_queue(job):
+    f = job.fixed
+    cfg = _link(job, f["snr"])
     base_seed = job.seed if job.seed is not None else 0
-    return [
-        (theta, snr, t, b, n0, g, frames, margin, (base_seed + i) % 2**64)
+    items = [
+        (theta, cfg, f["frames"], f["arrival_margin"], (base_seed + i) % 2**64)
         for i, theta in enumerate(job.theta_list)
     ]
+    # a theta simulates millions of frames, which pays for starting a
+    # worker process; one grid point of an analytic target does not
+    if job.jobs > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=min(job.jobs, len(items))) as pool:
+            return list(pool.map(_row_queue, items))
+    return [_row_queue(item) for item in items]
 
 
 def _summary_rho(rows):
@@ -324,6 +366,25 @@ def _summary_queue(rows):
     ]
 
 
+@dataclass(frozen=True)
+class _Target:
+    """One sweep target: its CSV columns, its flags and how its rows are built.
+
+    axis names the GridSpec axis the target sweeps, whose flags come
+    before params; None means the target has no grid.
+    """
+
+    columns: tuple
+    params: tuple
+    rows: object
+    summarize: object
+    axis: str = None
+
+    @property
+    def flags(self) -> tuple:
+        return _GRID_PARAMS.get(self.axis, ()) + self.params
+
+
 # se-vs-ebn0 and ebn0-vs-snr write the same columns; they differ only in
 # the figure a recipe reads off them
 _NARROWBAND = _Target(
@@ -339,25 +400,34 @@ _NARROWBAND = _Target(
         "ebn0",
         "ebn0_db",
     ),
-    worker=_row_narrowband,
-    build_items=_items_narrowband,
+    params=_LINK + (_BANDWIDTH, _THETAS),
+    rows=_rows_narrowband,
     summarize=_summary_bit_energy,
+    axis="snr",
 )
 
-_TARGET_TABLE = {
+_TARGETS = {
     "rho-vs-snr": _Target(
         columns=("snr", "snr_db", "rho_opt", "eta", "snr_eff_opt"),
-        worker=_row_rho,
-        build_items=_items_rho,
+        params=_LINK + (_BANDWIDTH,),
+        rows=_rows_rho,
         summarize=_summary_rho,
+        axis="snr",
     ),
     "se-vs-ebn0": _NARROWBAND,
     "ebn0-vs-snr": _NARROWBAND,
     "ebn0min-vs-bandwidth": _Target(
         columns=("theta", "bandwidth_hz", "snr_at_min", "ebn0_min_db"),
-        worker=_row_ebn0min,
-        build_items=_items_ebn0min,
+        params=_LINK
+        + (
+            _THETAS,
+            _Param("search-snr-min", "float", 1e-6, help="SNR search grid lower edge"),
+            _Param("search-snr-max", "float", 10.0, help="SNR search grid upper edge"),
+            _Param("search-snr-points", "int", 48, help="SNR search grid size"),
+        ),
+        rows=_rows_ebn0min,
         summarize=_summary_ebn0min,
+        axis="bandwidth",
     ),
     "wideband-se-vs-ebn0": _Target(
         columns=(
@@ -369,9 +439,29 @@ _TARGET_TABLE = {
             "spectral_efficiency",
             "ebn0_nn0_db",
         ),
-        worker=_row_wideband,
-        build_items=_items_wideband,
-        summarize=lambda rows: _summary_bit_energy(rows),
+        params=(
+            _THETAS,
+            _FRAME_DURATION,
+            _GAMMA,
+            _Param("power-over-n0", "float", help="total avg_power / noise_psd in Hz"),
+            _Param(
+                "growth",
+                "str",
+                "bounded",
+                help="subchannel growth law: bounded, linear or sublinear",
+            ),
+            _Param("num-subchannels", "int", help="subchannel count at the reference bandwidth"),
+            _Param(
+                "b-ref",
+                "float",
+                required=False,
+                help="reference bandwidth for the growth law (default: b-min)",
+            ),
+            _Param("growth-exponent", "float", 0.5, help="sublinear growth exponent"),
+        ),
+        rows=_rows_wideband,
+        summarize=_summary_bit_energy,
+        axis="bandwidth",
     ),
     "asymptotics-table": _Target(
         columns=(
@@ -385,8 +475,14 @@ _TARGET_TABLE = {
             "ebn0_min_db",
             "wideband_slope",
         ),
-        worker=_row_asymptotics,
-        build_items=_items_asymptotics,
+        params=(
+            _THETAS,
+            _FRAME_DURATION,
+            _GAMMA,
+            _Param("power-over-nn0", "float", help="avg_power / (N noise_psd) in Hz"),
+            _Param("num-subchannels", "int", 1, help="subchannel count (validated only)"),
+        ),
+        rows=_rows_asymptotics,
         summarize=_summary_asymptotics,
     ),
     "queue-validate": _Target(
@@ -401,19 +497,18 @@ _TARGET_TABLE = {
             "frames",
             "seed",
         ),
-        worker=_row_queue,
-        build_items=_items_queue,
+        params=_LINK
+        + (
+            _THETAS,
+            _Param("snr", "float", help="nominal SNR of the simulated link"),
+            _BANDWIDTH,
+            _Param("frames", "int", 1_000_000, help="simulated frames per theta"),
+            _Param("arrival-margin", "float", 1.0, help="offered load relative to capacity"),
+        ),
+        rows=_rows_queue,
         summarize=_summary_queue,
     ),
 }
-
-
-def _evaluate(job: SweepJob, worker, items):
-    if job.jobs == 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    chunk = max(1, len(items) // (job.jobs * 4))
-    with ProcessPoolExecutor(max_workers=job.jobs) as pool:
-        return list(pool.map(worker, items, chunksize=chunk))
 
 
 def _write_csv(job: SweepJob, columns, rows) -> None:
@@ -452,130 +547,15 @@ def run_sweep(job: SweepJob) -> str:
     written, and the file lands atomically, so a failed run never
     leaves a partial CSV behind.
     """
-    target = _TARGET_TABLE[job.target]
-    items = target.build_items(job)
-    if not items:
+    target = _TARGETS[job.target]
+    rows = target.rows(job)
+    if not rows:
         raise DomainError("job produced no grid points")
-    rows = _evaluate(job, target.worker, items)
     _write_csv(job, target.columns, rows)
     print(f"wrote {job.out_path} ({len(rows)} rows)")
     for line in target.summarize(rows):
         print(line)
     return job.out_path
-
-
-# parameter declarations: one row per flag, shared between the argument
-# parser and the config-file merge
-
-@dataclass(frozen=True)
-class _Param:
-    name: str
-    kind: str  # float | int | str | thetas
-    default: object = None  # None means required unless required=False
-    required: bool = True
-    help: str = ""
-
-
-def _parse_thetas(text: str) -> tuple:
-    try:
-        values = tuple(float(part) for part in str(text).split(",") if part.strip())
-    except ValueError:
-        raise DomainError(f"could not parse theta list {text!r}") from None
-    if not values:
-        raise DomainError("theta-list must name at least one value")
-    return values
-
-
-_CASTS = {
-    "float": float,
-    "int": int,
-    "str": str,
-    "thetas": _parse_thetas,
-}
-
-_GRID_SNR = [
-    _Param("snr-min", "float", help="lower edge of the nominal-SNR grid"),
-    _Param("snr-max", "float", help="upper edge of the nominal-SNR grid"),
-    _Param("points", "int", help="number of grid points"),
-    _Param("spacing", "str", "log", help="grid spacing, log or linear"),
-]
-
-_GRID_BAND = [
-    _Param("b-min", "float", help="lower edge of the bandwidth grid in Hz"),
-    _Param("b-max", "float", help="upper edge of the bandwidth grid in Hz"),
-    _Param("points", "int", help="number of grid points"),
-    _Param("spacing", "str", "log", help="grid spacing, log or linear"),
-]
-
-_LINK = [
-    _Param(
-        "frame-duration",
-        "float",
-        2e-3,
-        help="frame duration T in seconds (default 0.002, the value the "
-        "reference curves assume)",
-    ),
-    _Param("gamma", "float", 1.0, help="fading variance"),
-    _Param("noise-psd", "float", 1.0, help="noise spectral density in W/Hz"),
-]
-
-_THETAS = _Param("theta-list", "thetas", help="comma-separated QoS exponents")
-
-_NARROWBAND_PARAMS = (
-    _GRID_SNR + _LINK + [_Param("bandwidth", "float", help="link bandwidth in Hz"), _THETAS]
-)
-
-_TARGET_PARAMS = {
-    "rho-vs-snr": _GRID_SNR
-    + _LINK
-    + [_Param("bandwidth", "float", help="link bandwidth in Hz")],
-    "se-vs-ebn0": _NARROWBAND_PARAMS,
-    "ebn0-vs-snr": _NARROWBAND_PARAMS,
-    "ebn0min-vs-bandwidth": _GRID_BAND
-    + _LINK
-    + [
-        _THETAS,
-        _Param("search-snr-min", "float", 1e-6, help="SNR search grid lower edge"),
-        _Param("search-snr-max", "float", 10.0, help="SNR search grid upper edge"),
-        _Param("search-snr-points", "int", 48, help="SNR search grid size"),
-    ],
-    "wideband-se-vs-ebn0": _GRID_BAND
-    + [
-        _THETAS,
-        _Param("frame-duration", "float", 2e-3, help="frame duration in seconds"),
-        _Param("gamma", "float", 1.0, help="fading variance"),
-        _Param("power-over-n0", "float", help="total avg_power / noise_psd in Hz"),
-        _Param(
-            "growth",
-            "str",
-            "bounded",
-            help="subchannel growth law: bounded, linear or sublinear",
-        ),
-        _Param("num-subchannels", "int", help="subchannel count at the reference bandwidth"),
-        _Param(
-            "b-ref",
-            "float",
-            required=False,
-            help="reference bandwidth for the growth law (default: b-min)",
-        ),
-        _Param("growth-exponent", "float", 0.5, help="sublinear growth exponent"),
-    ],
-    "asymptotics-table": [
-        _THETAS,
-        _Param("frame-duration", "float", 2e-3, help="frame duration in seconds"),
-        _Param("gamma", "float", 1.0, help="fading variance"),
-        _Param("power-over-nn0", "float", help="avg_power / (N noise_psd) in Hz"),
-        _Param("num-subchannels", "int", 1, help="subchannel count (validated only)"),
-    ],
-    "queue-validate": _LINK
-    + [
-        _THETAS,
-        _Param("snr", "float", help="nominal SNR of the simulated link"),
-        _Param("bandwidth", "float", help="link bandwidth in Hz"),
-        _Param("frames", "int", 1_000_000, help="simulated frames per theta"),
-        _Param("arrival-margin", "float", 1.0, help="offered load relative to capacity"),
-    ],
-}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -585,7 +565,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes (default: available parallelism)",
+        help="worker processes for queue-validate's thetas (default: "
+        "available parallelism); the other targets run in this process",
     )
     parser.add_argument(
         "--seed",
@@ -604,17 +585,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="effcap-kit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="target", required=True)
-    for target, params in _TARGET_PARAMS.items():
-        sub = subs.add_parser(target, help=f"{target} sweep")
+    for name, target in _TARGETS.items():
+        sub = subs.add_parser(name, help=f"{name} sweep")
         _add_common(sub)
-        for p in params:
-            sub.add_argument(
-                f"--{p.name}",
-                dest=p.name.replace("-", "_"),
-                type=str,
-                default=None,
-                help=p.help,
-            )
+        for p in target.flags:
+            sub.add_argument(f"--{p.name}", dest=p.dest, type=str, default=None, help=p.help)
     return parser
 
 
@@ -632,30 +607,28 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _merge_params(args: argparse.Namespace) -> dict:
-    params = _TARGET_PARAMS[args.target]
+def _merge_params(args: argparse.Namespace, params) -> dict:
     config = _read_config(args.config) if args.config else {}
-    known = {p.name.replace("-", "_") for p in params} | {"seed", "jobs", "out"}
+    known = {p.dest for p in params} | {"seed", "jobs", "out"}
     for key in config:
         if key not in known:
             raise DomainError(f"unknown config key {key!r} for {args.target}")
 
     merged = {}
     for p in params:
-        dest = p.name.replace("-", "_")
-        raw = getattr(args, dest)
-        if raw is None and dest in config:
-            raw = config[dest]
+        raw = getattr(args, p.dest)
+        if raw is None and p.dest in config:
+            raw = config[p.dest]
         if raw is None:
             if p.default is not None:
-                merged[dest] = p.default
+                merged[p.dest] = p.default
                 continue
             if not p.required:
-                merged[dest] = None
+                merged[p.dest] = None
                 continue
             raise DomainError(f"missing required parameter --{p.name}")
         try:
-            merged[dest] = _CASTS[p.kind](raw)
+            merged[p.dest] = _CASTS[p.kind](raw)
         except (TypeError, ValueError):
             raise DomainError(f"bad value for --{p.name}: {raw!r}") from None
 
@@ -679,39 +652,20 @@ def _merge_params(args: argparse.Namespace) -> dict:
 
 
 def _job_from_args(args: argparse.Namespace) -> SweepJob:
-    merged = _merge_params(args)
-    target = args.target
+    target = _TARGETS[args.target]
+    merged = _merge_params(args, target.flags)
     seed = merged.pop("seed")
     jobs = merged.pop("jobs")
 
     grid = None
-    if target in ("rho-vs-snr", "se-vs-ebn0", "ebn0-vs-snr"):
-        grid = GridSpec(
-            "snr",
-            merged.pop("snr_min"),
-            merged.pop("snr_max"),
-            merged.pop("points"),
-            merged.pop("spacing"),
-        )
-    elif target in ("ebn0min-vs-bandwidth", "wideband-se-vs-ebn0"):
-        grid = GridSpec(
-            "bandwidth",
-            merged.pop("b_min"),
-            merged.pop("b_max"),
-            merged.pop("points"),
-            merged.pop("spacing"),
-        )
-    if target == "wideband-se-vs-ebn0":
-        if merged.get("b_ref") is None:
-            merged["b_ref"] = grid.lo
-        if merged["growth"] not in ("bounded", "linear", "sublinear"):
-            raise DomainError(f"unknown growth law {merged['growth']!r}")
-    if target == "queue-validate" and seed is None:
+    if target.axis is not None:
+        grid = GridSpec(target.axis, *(merged.pop(p.dest) for p in _GRID_PARAMS[target.axis]))
+    if args.target == "queue-validate" and seed is None:
         seed = 0
 
     thetas = merged.pop("theta_list", ())
     return SweepJob(
-        target=target,
+        target=args.target,
         out_path=args.out,
         fixed=merged,
         grid=grid,

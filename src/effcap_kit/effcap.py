@@ -42,8 +42,8 @@ __all__ = [
     "min_bit_energy_numeric",
 ]
 
-# |stationarity residual| demanded of the returned rate, in the
-# equation's own units
+# |stationarity residual| demanded of optimal_rate's rate, relative to
+# the equation's scale theta T (f(0) = -theta T)
 RESIDUAL_TOL = 1e-12
 
 _BRACKET_ITER_MAX = 200
@@ -149,6 +149,10 @@ def _stationarity_lhs(cfg: LinkConfig, theta: float, snr_eff: float):
     t = cfg.frame_duration_s
     a = t / (tb - 1.0)
     k = t * LN2 / ((tb - 1.0) * snr_eff)
+    if math.isinf(k):
+        raise DomainError(
+            f"effective SNR {snr_eff!r} is too small to resolve an optimal rate"
+        )
     theta_t = theta * t
 
     def f(r: float) -> float:
@@ -184,8 +188,9 @@ def optimal_rate(cfg: LinkConfig, qos: QosSpec, rho: float) -> EffCapResult:
     """Rate maximizing R_E at fixed rho, from the stationarity condition.
 
     Brackets the unique root of the first-order condition by doubling
-    from r = B, refines with Brent's method and polishes with Newton
-    steps until the residual is below RESIDUAL_TOL.
+    from r = B, refines with Brent's method to its relative tolerance
+    and polishes with Newton steps until the residual is below
+    RESIDUAL_TOL * theta T.
     """
     if qos.theta <= 0.0:
         raise DomainError("optimal_rate needs theta > 0")
@@ -195,10 +200,13 @@ def optimal_rate(cfg: LinkConfig, qos: QosSpec, rho: float) -> EffCapResult:
 
     f, fprime = _stationarity_lhs(cfg, qos.theta, snr_eff)
     lo, hi = _bracket_root(f, cfg.bandwidth_hz)
-    rate = brentq(f, lo, hi, maxiter=200)
+    # a negligible absolute xtol leaves brentq's relative rtol in charge:
+    # optimal rates span far more decades than any absolute bound fits
+    rate = brentq(f, lo, hi, xtol=1e-300, maxiter=200)
+    scale = qos.theta * cfg.frame_duration_s
     for _ in range(60):
         residual = f(rate)
-        if abs(residual) < RESIDUAL_TOL:
+        if abs(residual) < RESIDUAL_TOL * scale:
             break
         step = residual / fprime(rate)
         candidate = rate - step
@@ -332,7 +340,8 @@ def _spectral_efficiency_grid(cfg: LinkConfig, theta: float, snrs):
     gts = gamma * tb * snr
     eta = (gts + tb - 1.0) / (gts * (tb - 2.0))
     rho = eta * np.expm1(0.5 * np.log1p(1.0 / eta))
-    snr_eff = rho * (1.0 - rho) * gts * gts / (rho * gts * (tb - 2.0) + gts + tb - 1.0)
+    with np.errstate(divide="ignore"):
+        snr_eff = rho * (1.0 - rho) * gts / (rho * (tb - 2.0) + 1.0 + (tb - 1.0) / gts)
     usable = snr_eff > 0.0
     if theta > 0.0 and not usable.all():
         raise DomainError("effective SNR is zero at this rho; no rate is optimal")

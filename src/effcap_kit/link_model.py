@@ -143,15 +143,16 @@ def effective_snr(cfg: LinkConfig, rho: float) -> EstimateStats:
 
     The effective SNR treats the channel-estimation error as additional
     Gaussian noise on the data symbols, which lower-bounds the rate the
-    link can support. It is computed here in the closed form
+    link can support. With g = gamma T B SNR it is computed here in the
+    closed form
 
-        rho (1-rho) (gamma T B SNR)^2
-        -----------------------------------------------------
-        rho gamma TB (TB-2) SNR + gamma TB SNR + TB - 1
+        rho (1-rho) g^2 / (rho g (TB-2) + g + TB - 1)
+          = rho (1-rho) g / (rho (TB-2) + 1 + (TB-1) / g),
 
-    which is algebraically identical to evaluating the defining ratio
-    with explicit pilot and data-symbol energies; the tests exercise
-    that second route independently.
+    the second form so that g^2 cannot overflow. It is algebraically
+    identical to evaluating the defining ratio with explicit pilot and
+    data-symbol energies; the tests exercise that second route
+    independently.
     """
     rho = _check_rho(rho)
     gamma = cfg.fading_variance
@@ -163,12 +164,14 @@ def effective_snr(cfg: LinkConfig, rho: float) -> EstimateStats:
     tb = cfg.symbols_per_frame
     snr = nominal_snr(cfg)
     gts = gamma * tb * snr
-    num = rho * (1.0 - rho) * gts * gts
-    den = rho * gts * (tb - 2.0) + gts + tb - 1.0
+    if gts > 0.0:
+        snr_eff = rho * (1.0 - rho) * gts / (rho * (tb - 2.0) + 1.0 + (tb - 1.0) / gts)
+    else:  # gamma TB SNR underflowed
+        snr_eff = 0.0
     return EstimateStats(
         estimate_variance=est_var,
         error_variance=err_var,
-        effective_snr=num / den,
+        effective_snr=snr_eff,
     )
 
 

@@ -131,10 +131,12 @@ class WidebandConfig:
         # link_model.effective_snr's closed form on every subchannel at once,
         # with its operation order, so i.i.d. subchannels reproduce it bit
         # for bit:
-        #   rho (1-rho) (gamma TB SNR)^2 / (rho gamma TB SNR (TB-2) + gamma TB SNR + TB - 1)
+        #   rho (1-rho) g / (rho (TB-2) + 1 + (TB-1) / g),  g = gamma TB SNR
+        # An unpowered subchannel has g = 0 and (TB-1) / g = inf, so 0.
         tb = self.link.frame_duration_s * bc
         gts = gamma * tb * (power / (self.link.noise_psd * bc))
-        snr_eff = rho * (1.0 - rho) * gts * gts / (rho * gts * (tb - 2.0) + gts + tb - 1.0)
+        with np.errstate(divide="ignore"):
+            snr_eff = rho * (1.0 - rho) * gts / (rho * (tb - 2.0) + 1.0 + (tb - 1.0) / gts)
         unpowered = power == 0.0
         snr_eff.flags.writeable = unpowered.flags.writeable = False
         object.__setattr__(self, "_snr_eff", snr_eff)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from effcap_kit import __version__
+from effcap_kit import __version__, cli
 from effcap_kit.cli import GridSpec, SweepJob, _format_value, main
 from effcap_kit.errors import ConvergenceError, DomainError
 
@@ -218,6 +218,100 @@ class TestDeterminism:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+QUEUE_TWO_THETAS = [
+    "queue-validate",
+    "--theta-list", "0.01,0.02",
+    "--snr", "1",
+    "--bandwidth", "1e5",
+    "--frames", "1000000",
+]
+
+ANALYTIC_JOBS = [
+    ["rho-vs-snr", "--snr-min", "0.01", "--snr-max", "1", "--points", "4", "--bandwidth", "1e5"],
+    [
+        "se-vs-ebn0",
+        "--snr-min", "0.01",
+        "--snr-max", "1",
+        "--points", "4",
+        "--bandwidth", "1e5",
+        "--theta-list", "0,0.01",
+    ],
+    [
+        "ebn0-vs-snr",
+        "--snr-min", "0.01",
+        "--snr-max", "1",
+        "--points", "4",
+        "--bandwidth", "1e5",
+        "--theta-list", "0.01",
+    ],
+    [
+        "ebn0min-vs-bandwidth",
+        "--b-min", "1e4",
+        "--b-max", "1e6",
+        "--points", "3",
+        "--theta-list", "0,0.01",
+    ],
+    [
+        "wideband-se-vs-ebn0",
+        "--b-min", "1e8",
+        "--b-max", "1e9",
+        "--points", "3",
+        "--theta-list", "0.001,0.01",
+        "--num-subchannels", "100",
+        "--power-over-n0", "1e7",
+    ],
+    ["asymptotics-table", "--theta-list", "0,0.01,0.1", "--power-over-nn0", "1e4"],
+]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestEvaluationPolicy:
+    def test_queue_worker_count_does_not_change_bytes(self, tmp_path):
+        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert run(QUEUE_TWO_THETAS + ["--jobs", "1", "--out", str(serial)]) == 0
+        assert run(QUEUE_TWO_THETAS + ["--jobs", "2", "--out", str(parallel)]) == 0
+        assert len(read_lines(serial)) == 2 + 2
+        assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("args", ANALYTIC_JOBS, ids=lambda a: a[0])
+    def test_analytic_targets_run_in_process(self, args, tmp_path, monkeypatch):
+        def refuse(*_, **__):
+            raise AssertionError("an analytic target started a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+        assert run(args + ["--jobs", "2", "--out", str(tmp_path / "x.csv")]) == 0
+
+    def test_queue_validate_sizes_its_pool_by_thetas(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        out = str(tmp_path / "q.csv")
+        assert run(QUEUE_TWO_THETAS + ["--jobs", "2", "--out", out]) == 0
+        assert run(QUEUE_TWO_THETAS + ["--jobs", "8", "--out", out]) == 0
+        assert _RecordingPool.sizes == [2, 2]
+        # one worker, or one theta, needs no pool
+        assert run(QUEUE_TWO_THETAS + ["--jobs", "1", "--out", out]) == 0
+        one_theta = QUEUE_TWO_THETAS[:2] + ["0.01"] + QUEUE_TWO_THETAS[3:]
+        assert run(one_theta + ["--jobs", "2", "--out", out]) == 0
+        assert _RecordingPool.sizes == [2, 2]
 
 
 class TestConfigMerge:

@@ -1,6 +1,7 @@
 """Effective capacity, optimal rate, bit energy and its minimum."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,67 @@ class TestOptimalRate:
             optimal_rate(cfg, QosSpec(0.0), 0.3)
         with pytest.raises(DomainError):
             optimal_rate(cfg, QosSpec(0.01), 0.0)
+
+
+def assert_local_maximizer(cfg, qos, res):
+    for factor in (0.99, 1.01):
+        other = effective_capacity_at(cfg, qos, factor * res.rate_opt_bps, res.rho_used)
+        assert other < res.spectral_efficiency, f"beaten at {factor} x rate"
+
+
+class TestRateAccuracy:
+    """The scalar rate is as accurate as the array kernel's, at any scale."""
+
+    @staticmethod
+    def solve_both(t, b, snr, theta, gamma):
+        cfg = LinkConfig(t, b, 1.0, snr * b, gamma)
+        res = spectral_efficiency(cfg, QosSpec(theta))
+        _, rate, _ = effcap_module._spectral_efficiency_grid(cfg, theta, [snr])
+        return cfg, res, float(rate[0])
+
+    def test_rate_below_an_absolute_xtol(self):
+        # an absolute brentq xtol of 2e-12 b/s returned 2e-12 here, which
+        # 0.9 times the rate beats
+        cfg, res, kernel = self.solve_both(
+            2.274785400815622e-05,
+            620397.0422462476,
+            4.672822842284603e-08,
+            1.4949290532635424e-08,
+            0.01597426644841989,
+        )
+        assert res.rate_opt_bps == pytest.approx(kernel, rel=1e-12, abs=0.0)
+        assert res.rate_opt_bps == pytest.approx(1.7595e-12, rel=1e-4)
+        assert_local_maximizer(cfg, QosSpec(1.4949290532635424e-08), res)
+
+    def test_residual_bound_scales_with_theta_t(self):
+        # theta T = 5.6e-6: an absolute 1e-12 residual bound accepted a rate
+        # 2.5e-9 relative off the root
+        _, res, kernel = self.solve_both(
+            10.0**-1.25, 10.0**6.75, 10.0**-7.5, 1e-4, 10.0**-0.5
+        )
+        assert res.rate_opt_bps == pytest.approx(kernel, rel=1e-12, abs=0.0)
+
+    def test_huge_snr_does_not_overflow(self):
+        # (gamma T B SNR)^2 = 4e314 overflowed the effective SNR to inf
+        cfg = LinkConfig(2e-3, 1e4, 1.0, 1e160)
+        qos = QosSpec(0.01)
+        res = spectral_efficiency(cfg, qos)
+        assert math.isfinite(res.spectral_efficiency)
+        assert res.spectral_efficiency == pytest.approx(383.40177656501754, rel=1e-9)
+        assert_local_maximizer(cfg, qos, res)
+        _, _, re = effcap_module._spectral_efficiency_grid(cfg, 0.01, [1e156])
+        assert re[0] == pytest.approx(res.spectral_efficiency, rel=1e-12, abs=0.0)
+
+    def test_subnormal_effective_snr(self):
+        # snr_eff = 5e-324 makes k = T ln2 / ((TB-1) snr_eff) overflow
+        cfg = LinkConfig(2e-3, 1e6, 1.0, 1e-157)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = rho_opt_closed_form(cfg).rho_opt
+            assert 0.0 < effective_snr(cfg, rho).effective_snr < 1e-320
+            with pytest.raises(DomainError, match="too small"):
+                spectral_efficiency(cfg, QosSpec(0.01))
+            assert spectral_efficiency(cfg, QosSpec(0.0)).spectral_efficiency == 0.0
 
 
 class TestThetaZero:
@@ -438,8 +500,7 @@ class TestSpectralEfficiencyGrid:
             link = with_nominal_snr(cfg, snr)
             want = spectral_efficiency(link, QosSpec(theta))
             assert nominal[i] == nominal_snr(link)
-            # the scalar rate carries Brent's absolute xtol of 2e-12 b/s
-            assert rate[i] == pytest.approx(want.rate_opt_bps, rel=1e-9, abs=1e-11)
+            assert rate[i] == pytest.approx(want.rate_opt_bps, rel=1e-12, abs=0.0)
             assert re[i] == pytest.approx(want.spectral_efficiency, rel=1e-12, abs=0.0)
 
     def test_iteration_cap_raises(self, monkeypatch):
@@ -448,7 +509,7 @@ class TestSpectralEfficiencyGrid:
             min_bit_energy_numeric(fig6_link(1e6), QosSpec(0.01), FIG6_SNR_GRID)
 
     def test_zero_effective_snr(self):
-        # gamma T B SNR = 2e-167 squares to zero in the closed form
+        # gamma T B SNR = 2e-167 gives an effective SNR that underflows to zero
         cfg = fig6_link(1e6)
         snrs = [1e-170, 1e-3]
         with pytest.raises(DomainError):

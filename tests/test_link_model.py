@@ -149,6 +149,16 @@ class TestEffectiveSnr:
         )
         assert stats.effective_snr == pytest.approx(oracle, rel=1e-9)
 
+    def test_huge_snr_does_not_overflow(self):
+        # squaring gamma T B SNR = 2e157 overflows; the value is 5e155
+        cfg = LinkConfig(2e-3, 1e4, 1.0, 1e160)
+        assert effective_snr(cfg, 0.5).effective_snr == pytest.approx(5e155, rel=1e-12)
+
+    def test_underflowed_nominal_snr_gives_zero(self):
+        cfg = LinkConfig(2e-3, 1e4, 1.0, 1e-320)
+        assert nominal_snr(cfg) == 0.0
+        assert effective_snr(cfg, 0.5).effective_snr == 0.0
+
     def test_single_interior_maximum(self):
         # scanning rho on a fine grid must show one ascending run followed
         # by one descending run, nothing else

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,23 @@ class TestWidebandCapacity:
             effective_capacity_wideband(wcfg, QosSpec(0.01), rate)
         with pytest.raises(DomainError):
             transition_probabilities(wcfg, rate)
+
+
+class TestSubchannelEffectiveSnr:
+    @pytest.mark.parametrize("per_power", [1e-150, 1e-3, 5e2, 1e160])
+    def test_iid_matches_effective_snr_bit_for_bit(self, per_power):
+        wcfg = uniform_wideband_config(4, 1e4, 2e-3, 1.0, 4 * per_power, 1.7, 0.3)
+        sub = LinkConfig(2e-3, 1e4, 1.0, wcfg.per_subchannel_powers[0], 1.7)
+        want = effective_snr(sub, 0.3).effective_snr
+        assert math.isfinite(want)
+        assert wcfg._snr_eff.tolist() == [want] * 4
+
+    def test_unpowered_subchannels_give_zero_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wcfg = hetero_config(3, powers=(0.0, 1e3, 0.0))
+        assert wcfg._snr_eff[0] == 0.0 and wcfg._snr_eff[2] == 0.0
+        assert wcfg._snr_eff[1] > 0.0
 
 
 def poisson_binomial_capacity(wcfg, theta, rate):
