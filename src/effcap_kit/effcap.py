@@ -9,14 +9,17 @@ P(Q >= q) decays like exp(-theta q). Normalized by bandwidth it reads
 
 in bits/s/Hz. This module maximizes R_E over the fixed rate r (and,
 composed with the training module, over the pilot fraction rho), and
-derives the bit-energy diagnostics from it.
+derives the bit-energy diagnostics from it. Every rate is the root of
+the stationarity condition, found by one method: Newton's method in
+ln r from a start above the root, written once for a single SNR
+(_newton_rate) and once for an array of SNRs
+(_spectral_efficiency_grid).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, GridEndpointError
 from .link_model import (
@@ -42,14 +45,8 @@ __all__ = [
     "min_bit_energy_numeric",
 ]
 
-# |stationarity residual| demanded of optimal_rate's rate, relative to
-# the equation's scale theta T (f(0) = -theta T)
-RESIDUAL_TOL = 1e-12
-
-_BRACKET_ITER_MAX = 200
-
-# array rate solve: Newton steps in ln r, stopped once every step is
-# below _NEWTON_STEP_TOL (a relative rate change)
+# rate solve, scalar and array: Newton steps in ln r, stopped once every
+# step is below _NEWTON_STEP_TOL (a relative rate change)
 _NEWTON_ITER_MAX = 60
 _NEWTON_STEP_TOL = 1e-12
 
@@ -129,68 +126,55 @@ def effective_capacity_at(
     return -log_rest / (theta_t * cfg.bandwidth_hz)
 
 
-def _pow2(x: float) -> float:
-    try:
-        return math.exp(x * LN2)
-    except OverflowError:
-        return math.inf
+def _newton_rate(cfg: LinkConfig, theta: float, snr_eff: float) -> float:
+    """Optimal rate at one effective SNR, by Newton's method in u = ln r.
 
-
-def _stationarity_lhs(cfg: LinkConfig, theta: float, snr_eff: float):
-    """LHS of the rate-optimality condition and its derivative in r.
-
-    f(r) = (2^(T r / (TB-1)) T ln2 / ((TB-1) snr_eff)) (1 - e^(-theta T r))
-           - theta T e^(-theta T r)
-
-    f is continuous, equals -theta T at r = 0 and grows without bound,
-    so it has exactly one sign change: the optimal rate.
+    The iteration of _spectral_efficiency_grid (same G, slope, start and
+    step stop; see its docstring), written with math for a single
+    entry. Raises DomainError at theta > 0 when k = T ln2 / ((TB-1)
+    snr_eff) overflows; at theta = 0 the root of r c e^(c r) = snr_eff
+    is then snr_eff / c, since c r rounds away against 1.
     """
-    tb = cfg.symbols_per_frame
     t = cfg.frame_duration_s
-    a = t / (tb - 1.0)
+    tb = cfg.symbols_per_frame
+    c = t * LN2 / (tb - 1.0)
     k = t * LN2 / ((tb - 1.0) * snr_eff)
     if math.isinf(k):
-        raise DomainError(
-            f"effective SNR {snr_eff!r} is too small to resolve an optimal rate"
-        )
+        if theta > 0.0:
+            raise DomainError(
+                f"effective SNR {snr_eff!r} is too small to resolve an optimal rate"
+            )
+        return snr_eff / c
+    log_k = math.log(k)
     theta_t = theta * t
-
-    def f(r: float) -> float:
-        grow = -math.expm1(-theta_t * r)
-        return k * _pow2(a * r) * grow - theta_t * math.exp(-theta_t * r)
-
-    def fprime(r: float) -> float:
-        e = math.exp(-theta_t * r)
-        p2 = _pow2(a * r)
-        return (
-            k * a * LN2 * p2 * (1.0 - e)
-            + k * p2 * theta_t * e
-            + theta_t * theta_t * e
-        )
-
-    return f, fprime
-
-
-def _bracket_root(f, start: float):
-    """Expand [0, start] by doubling until f changes sign."""
-    lo = 0.0
-    hi = start
-    fhi = f(hi)
-    for _ in range(_BRACKET_ITER_MAX):
-        if fhi >= 0.0:
-            return lo, hi
-        lo, hi = hi, 2.0 * hi
-        fhi = f(hi)
-    raise ConvergenceError("no sign change bracketed for the rate solve")
+    u = math.log(math.log1p(snr_eff) / c)
+    if theta > 0.0:
+        u = min(u, math.log(math.log1p(theta_t * snr_eff / c) / theta_t))
+    for _ in range(_NEWTON_ITER_MAX):
+        r = math.exp(u)
+        if theta > 0.0:
+            x = theta_t * r
+            grow = -math.expm1(-x)
+            g = log_k + c * r + x + math.log(grow / theta_t)
+            slope = c * r + x / grow
+        else:
+            g = log_k + u + c * r
+            slope = 1.0 + c * r
+        step = g / slope
+        u = u - step
+        if abs(step) <= _NEWTON_STEP_TOL:
+            return math.exp(u)
+    raise ConvergenceError(
+        f"rate solve not converged after {_NEWTON_ITER_MAX} Newton steps"
+    )
 
 
 def optimal_rate(cfg: LinkConfig, qos: QosSpec, rho: float) -> EffCapResult:
     """Rate maximizing R_E at fixed rho, from the stationarity condition.
 
-    Brackets the unique root of the first-order condition by doubling
-    from r = B, refines with Brent's method to its relative tolerance
-    and polishes with Newton steps until the residual is below
-    RESIDUAL_TOL * theta T.
+    The condition has one root, found by Newton's method in ln r from a
+    start above it (_newton_rate), stopped once a step changes the rate
+    by at most _NEWTON_STEP_TOL relative.
     """
     if qos.theta <= 0.0:
         raise DomainError("optimal_rate needs theta > 0")
@@ -198,30 +182,7 @@ def optimal_rate(cfg: LinkConfig, qos: QosSpec, rho: float) -> EffCapResult:
     if snr_eff <= 0.0:
         raise DomainError("effective SNR is zero at this rho; no rate is optimal")
 
-    f, fprime = _stationarity_lhs(cfg, qos.theta, snr_eff)
-    lo, hi = _bracket_root(f, cfg.bandwidth_hz)
-    # a negligible absolute xtol leaves brentq's relative rtol in charge:
-    # optimal rates span far more decades than any absolute bound fits
-    rate = brentq(f, lo, hi, xtol=1e-300, maxiter=200)
-    scale = qos.theta * cfg.frame_duration_s
-    for _ in range(60):
-        residual = f(rate)
-        if abs(residual) < RESIDUAL_TOL * scale:
-            break
-        step = residual / fprime(rate)
-        candidate = rate - step
-        if not (lo <= candidate <= hi and math.isfinite(candidate)):
-            candidate = 0.5 * (lo + hi)
-        if f(candidate) < 0.0:
-            lo = candidate
-        else:
-            hi = candidate
-        rate = candidate
-    else:
-        raise ConvergenceError(
-            f"rate stationarity residual stuck at {f(rate):.3e}"
-        )
-
+    rate = _newton_rate(cfg, qos.theta, snr_eff)
     alpha = outage_threshold(cfg, rate, snr_eff)
     re = effective_capacity_at(cfg, qos, rate, rho)
     return EffCapResult(
@@ -238,36 +199,13 @@ def effective_capacity_theta0(cfg: LinkConfig, rho: float) -> EffCapResult:
 
     The stationarity condition r alpha'(r) = 1 reads
     r c e^(c r) = snr_eff with c = T ln2 / (TB - 1); its left side is
-    increasing from zero, so the root is unique and bracketed the same
-    way as in optimal_rate.
+    increasing from zero, so the root is unique. It is solved by the
+    same Newton iteration in ln r as optimal_rate (_newton_rate).
     """
     snr_eff = effective_snr(cfg, rho).effective_snr
     if snr_eff <= 0.0:
         return _zero_result(rho)
-    t = cfg.frame_duration_s
-    tb = cfg.symbols_per_frame
-    c = t * LN2 / (tb - 1.0)
-
-    def g(r: float) -> float:
-        return r * c * _pow2(r * c / LN2) - snr_eff
-
-    lo, hi = _bracket_root(g, cfg.bandwidth_hz)
-    rate = brentq(g, lo, hi, maxiter=200)
-    for _ in range(60):
-        residual = g(rate)
-        if abs(residual) <= 1e-12 * snr_eff:
-            break
-        e = _pow2(rate * c / LN2)
-        derivative = c * e * (1.0 + c * rate)
-        candidate = rate - residual / derivative
-        if not (lo <= candidate <= hi and math.isfinite(candidate)):
-            candidate = 0.5 * (lo + hi)
-        rate = candidate
-    else:
-        raise ConvergenceError(
-            f"theta = 0 rate residual stuck at {g(rate):.3e}"
-        )
-
+    rate = _newton_rate(cfg, 0.0, snr_eff)
     alpha = outage_threshold(cfg, rate, snr_eff)
     p_on = math.exp(-alpha)
     return EffCapResult(
@@ -315,20 +253,24 @@ def _spectral_efficiency_grid(cfg: LinkConfig, theta: float, snrs):
     The array form of spectral_efficiency on with_nominal_snr(cfg, snr):
     the closed-form rho and effective SNR in the scalar operation order,
     then Newton's method on the rate stationarity condition in log form,
-    G(u) = 0 with u = ln r, for all SNRs at once. For theta > 0,
+    G(u) = 0 with u = ln r, for all SNRs at once (_newton_rate is the
+    same iteration for one SNR). For theta > 0, dR_E/dr = 0 reads
+    k e^(c r) (1 - e^(-x)) = theta T e^(-x) with x = theta T r, whose log
+    is
 
-        G(u) = ln k + c r + x + ln(-expm1(-x) / (theta T)),  x = theta T r,
+        G(u) = ln k + c r + x + ln(-expm1(-x) / (theta T));
 
-    is f(r) = 0 of optimal_rate divided by theta T e^(-x); for theta = 0,
-    G(u) = ln k + u + c r is ln of r c e^(c r) = snr_eff. Here
-    c = T ln2 / (TB - 1) and k = c / snr_eff. G is convex and increasing
-    in u. G >= 0 at r = ln(1 + snr_eff) / c, because
+    for theta = 0, G(u) = ln k + u + c r is ln of r c e^(c r) = snr_eff.
+    Here c = T ln2 / (TB - 1) and k = c / snr_eff. G is convex and
+    increasing in u. G >= 0 at r = ln(1 + snr_eff) / c, because
     (1 + s) ln(1 + s) >= s, and for theta > 0 also at
     r = ln(1 + theta T / k) / (theta T), where the last term of G is at
     least -ln k. Newton's method started at the smaller of the two
-    descends monotonically onto the root. Returns the arrays (nominal
-    SNR as with_nominal_snr realizes it, rate in bits/s, R_E in
-    bits/s/Hz).
+    descends monotonically onto the root. An effective SNR so small
+    (zero or subnormal) that k overflows raises DomainError at
+    theta > 0 and gives rate and R_E zero at theta = 0. Returns the
+    arrays (nominal SNR as with_nominal_snr realizes it, rate in
+    bits/s, R_E in bits/s/Hz).
     """
     t = cfg.frame_duration_s
     b = cfg.bandwidth_hz
@@ -342,13 +284,16 @@ def _spectral_efficiency_grid(cfg: LinkConfig, theta: float, snrs):
     rho = eta * np.expm1(0.5 * np.log1p(1.0 / eta))
     with np.errstate(divide="ignore"):
         snr_eff = rho * (1.0 - rho) * gts / (rho * (tb - 2.0) + 1.0 + (tb - 1.0) / gts)
-    usable = snr_eff > 0.0
+    # k is infinite where the effective SNR is zero or subnormal
+    with np.errstate(divide="ignore", over="ignore"):
+        k = t * LN2 / ((tb - 1.0) * snr_eff)
+    usable = np.isfinite(k)
     if theta > 0.0 and not usable.all():
-        raise DomainError("effective SNR is zero at this rho; no rate is optimal")
+        raise DomainError("effective SNR is zero or too small to resolve an optimal rate")
     snr_eff = np.where(usable, snr_eff, 1.0)
 
     c = t * LN2 / (tb - 1.0)
-    log_k = np.log(t * LN2 / ((tb - 1.0) * snr_eff))
+    log_k = np.log(np.where(usable, k, c))
     theta_t = theta * t
     u = np.log(np.log1p(snr_eff) / c)
     if theta > 0.0:

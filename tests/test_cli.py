@@ -1,10 +1,14 @@
 """Command-line interface: parsing, CSV contract, determinism, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import effcap_kit
 from effcap_kit import __version__, cli
 from effcap_kit.cli import GridSpec, SweepJob, _format_value, main
 from effcap_kit.errors import ConvergenceError, DomainError
@@ -463,3 +467,33 @@ class TestWidebandTarget:
             ]
         )
         assert code == 1
+
+
+# scipy blocked: every scipy import in the child raises ImportError
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+from effcap_kit import LinkConfig, QosSpec, cli, spectral_efficiency
+cfg = LinkConfig(2e-3, 1e5, 1.0, 1e5)
+assert spectral_efficiency(cfg, QosSpec(0.01)).spectral_efficiency > 0.0
+assert spectral_efficiency(cfg, QosSpec(0.0)).spectral_efficiency > 0.0
+argv = ["ebn0min-vs-bandwidth", "--b-min", "1e4", "--b-max", "1e6",
+        "--points", "2", "--theta-list", "0,0.01", "--out", sys.argv[1]]
+sys.exit(cli.main(argv))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_runs_without_scipy(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(effcap_kit.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        out = tmp_path / "fig6_small.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_SCRIPT, str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_lines(out)) == 2 + 4

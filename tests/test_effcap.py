@@ -210,6 +210,50 @@ class TestRateAccuracy:
                 spectral_efficiency(cfg, QosSpec(0.01))
             assert spectral_efficiency(cfg, QosSpec(0.0)).spectral_efficiency == 0.0
 
+    def test_newton_cap_raises(self, monkeypatch):
+        # one Newton step cannot meet the step stop: the loop must raise,
+        # not fall through with an unconverged rate
+        monkeypatch.setattr(effcap_module, "_NEWTON_ITER_MAX", 1)
+        cfg = make_cfg(0.5)
+        with pytest.raises(ConvergenceError, match="Newton"):
+            optimal_rate(cfg, QosSpec(0.01), 0.3)
+        with pytest.raises(ConvergenceError, match="Newton"):
+            effective_capacity_theta0(cfg, 0.3)
+
+    @given(
+        log_t=st.floats(-5.0, 0.0),
+        log_b=st.floats(2.0, 10.0),
+        log_snr=st.floats(-10.0, 160.0),
+        theta=st.one_of(st.just(0.0), st.floats(-8.0, 3.0).map(lambda e: 10.0**e)),
+        log_gamma=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_wide_box(self, log_t, log_b, log_snr, theta, log_gamma):
+        t, b, gamma = 10.0**log_t, 10.0**log_b, 10.0**log_gamma
+        assume(t * b > 2.0)
+        cfg = LinkConfig(t, b, 1.0, 10.0**log_snr * b, gamma)
+        qos = QosSpec(theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                res = spectral_efficiency(cfg, qos)
+            except (DomainError, ConvergenceError):
+                return
+            fields = (
+                res.rate_opt_bps,
+                res.alpha_opt,
+                res.rho_used,
+                res.spectral_efficiency,
+                res.on_probability,
+            )
+            assert all(math.isfinite(v) for v in fields), res
+            if theta > 0.0:
+                for factor in (0.99, 1.01):
+                    other = effective_capacity_at(
+                        cfg, qos, factor * res.rate_opt_bps, res.rho_used
+                    )
+                    assert other <= res.spectral_efficiency * (1.0 + 1e-12), factor
+
 
 class TestThetaZero:
     def test_brute_force_grid_oracle(self):
@@ -253,24 +297,6 @@ class TestThetaZero:
         r0 = effective_capacity_theta0(cfg, rho).spectral_efficiency
         r_small = optimal_rate(cfg, QosSpec(1e-7), rho).spectral_efficiency
         assert abs(r_small - r0) / r0 < 1e-4
-
-    def test_unconverged_polish_raises(self, monkeypatch):
-        # break 2^x once Brent's method has returned, so no Newton polish
-        # step can meet the residual: the loop must raise, not fall through
-        exact = effcap_module._pow2
-        polishing = []
-
-        def brentq_then_break(f, lo, hi, maxiter):
-            root = brentq(f, lo, hi, maxiter=maxiter)
-            polishing.append(True)
-            return root
-
-        monkeypatch.setattr(effcap_module, "brentq", brentq_then_break)
-        monkeypatch.setattr(
-            effcap_module, "_pow2", lambda x: math.nan if polishing else exact(x)
-        )
-        with pytest.raises(ConvergenceError):
-            effective_capacity_theta0(make_cfg(0.5), 0.3)
 
 
 class TestSpectralEfficiency:
@@ -507,6 +533,19 @@ class TestSpectralEfficiencyGrid:
         monkeypatch.setattr(effcap_module, "_NEWTON_ITER_MAX", 1)
         with pytest.raises(ConvergenceError, match="Newton"):
             min_bit_energy_numeric(fig6_link(1e6), QosSpec(0.01), FIG6_SNR_GRID)
+
+    def test_subnormal_effective_snr(self):
+        # the first SNR gives an effective SNR of 5e-324, so k overflows
+        cfg = LinkConfig(2e-3, 1e6, 1.0, 1e-157)
+        snrs = [1e-163, 1e-3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too small"):
+                effcap_module._spectral_efficiency_grid(cfg, 0.01, snrs)
+            _, rate, re = effcap_module._spectral_efficiency_grid(cfg, 0.0, snrs)
+        assert rate[0] == 0.0 and re[0] == 0.0
+        want = spectral_efficiency(with_nominal_snr(cfg, 1e-3), QosSpec(0.0))
+        assert re[1] == pytest.approx(want.spectral_efficiency, rel=1e-12, abs=0.0)
 
     def test_zero_effective_snr(self):
         # gamma T B SNR = 2e-167 gives an effective SNR that underflows to zero
