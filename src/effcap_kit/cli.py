@@ -581,15 +581,25 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv, with flags for the target argv names only.
+
+    A known target gets the only subparser, which holds its flags; any
+    other argv gets an empty subparser per target, so that --help and
+    the error for an unknown target list them all. The top level takes
+    no option with a value, so the first non-option word is the target.
+    """
+    selected = next((a for a in argv if not a.startswith("-")), None)
+    names = (selected,) if selected in _TARGETS else tuple(_TARGETS)
     parser = _Parser(prog="effcap-kit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="target", required=True)
-    for name, target in _TARGETS.items():
+    for name in names:
         sub = subs.add_parser(name, help=f"{name} sweep")
-        _add_common(sub)
-        for p in target.flags:
-            sub.add_argument(f"--{p.name}", dest=p.dest, type=str, default=None, help=p.help)
+        if name == selected:
+            _add_common(sub)
+            for p in _TARGETS[name].flags:
+                sub.add_argument(f"--{p.name}", dest=p.dest, type=str, default=None, help=p.help)
     return parser
 
 
@@ -676,8 +686,9 @@ def _job_from_args(args: argparse.Namespace) -> SweepJob:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         job = _job_from_args(args)
         run_sweep(job)
         return 0

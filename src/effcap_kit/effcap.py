@@ -9,29 +9,29 @@ P(Q >= q) decays like exp(-theta q). Normalized by bandwidth it reads
 
 in bits/s/Hz. This module maximizes R_E over the fixed rate r (and,
 composed with the training module, over the pilot fraction rho), and
-derives the bit-energy diagnostics from it. Every rate is the root of
-the stationarity condition, found by one method: Newton's method in
-ln r from a start above the root, written once for a single SNR
-(_newton_rate) and once for an array of SNRs
-(_spectral_efficiency_grid).
+derives the bit-energy diagnostics from it. Every public function
+validates its LinkConfig and QosSpec and then calls one solver on plain
+floats (_solve): the closed-form rho, the effective SNR, and the rate
+as the root of the stationarity condition, found by Newton's method in
+ln r from a start above the root.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, GridEndpointError
 from .link_model import (
-    _EXP_ARG_MAX,
     LN2,
     LinkConfig,
+    _check_rho,
+    _effective_snr,
+    _outage_threshold,
+    _realized_snr,
     effective_snr,
     nominal_snr,
     outage_threshold,
-    with_nominal_snr,
 )
-from .training import rho_opt_closed_form
+from .training import _rho_opt
 
 __all__ = [
     "QosSpec",
@@ -45,8 +45,8 @@ __all__ = [
     "min_bit_energy_numeric",
 ]
 
-# rate solve, scalar and array: Newton steps in ln r, stopped once every
-# step is below _NEWTON_STEP_TOL (a relative rate change)
+# rate solve: Newton steps in ln r, stopped once a step is below
+# _NEWTON_STEP_TOL (a relative rate change)
 _NEWTON_ITER_MAX = 60
 _NEWTON_STEP_TOL = 1e-12
 
@@ -84,17 +84,6 @@ class EffCapResult:
     on_probability: float
 
 
-def _zero_result(rho: float) -> EffCapResult:
-    # no usable estimate: the channel is OFF with certainty
-    return EffCapResult(
-        rate_opt_bps=0.0,
-        alpha_opt=math.inf,
-        rho_used=rho,
-        spectral_efficiency=0.0,
-        on_probability=0.0,
-    )
-
-
 def effective_capacity_at(
     cfg: LinkConfig, qos: QosSpec, rate_bps: float, rho: float
 ) -> float:
@@ -112,8 +101,12 @@ def effective_capacity_at(
     if snr_eff <= 0.0:
         return 0.0
     alpha = outage_threshold(cfg, rate_bps, snr_eff)
-    theta_t = qos.theta * cfg.frame_duration_s
-    s = theta_t * rate_bps
+    return _capacity(qos.theta * cfg.frame_duration_s, cfg.bandwidth_hz, rate_bps, alpha)
+
+
+def _capacity(theta_t: float, b: float, rate: float, alpha: float) -> float:
+    """R_E on floats at a positive rate with outage threshold alpha."""
+    s = theta_t * rate
     # 1 - p_on (1 - e^-s) as a sum of two positive terms, taken from alpha
     # directly: when p_on rounds to 1 the outage term alpha survives, and
     # once s exceeds about 37 it is the larger term
@@ -123,68 +116,100 @@ def effective_capacity_at(
         log_rest = math.log(rest) if rest > 0.0 else -s
     else:
         log_rest = math.log1p(math.exp(-alpha) * math.expm1(-s))
-    return -log_rest / (theta_t * cfg.bandwidth_hz)
+    return -log_rest / (theta_t * b)
 
 
-def _newton_rate(cfg: LinkConfig, theta: float, snr_eff: float) -> float:
-    """Optimal rate at one effective SNR, by Newton's method in u = ln r.
+def _solve(t: float, b: float, gamma: float, snr: float, theta: float, rho=None):
+    """The optimal operating point on plain floats.
 
-    The iteration of _spectral_efficiency_grid (same G, slope, start and
-    step stop; see its docstring), written with math for a single
-    entry. Raises DomainError at theta > 0 when k = T ln2 / ((TB-1)
-    snr_eff) overflows; at theta = 0 the root of r c e^(c r) = snr_eff
-    is then snr_eff / c, since c r rounds away against 1.
+    t, b and gamma are the link's T, B and fading variance, snr its
+    nominal SNR as nominal_snr realizes it, and rho a checked training
+    fraction, or None for the closed-form optimum. The caller has
+    validated every argument. Returns (rho, effective SNR, rate in
+    bits/s, alpha, R_E in bits/s/Hz), in the operation order of
+    rho_opt_closed_form, effective_snr, outage_threshold and
+    effective_capacity_at.
+
+    The rate is the root of the stationarity condition in log form,
+    G(u) = 0 with u = ln r, found by Newton's method. For theta > 0,
+    dR_E/dr = 0 reads k e^(c r) (1 - e^(-x)) = theta T e^(-x) with
+    x = theta T r, whose log is
+
+        G(u) = ln k + c r + x + ln(-expm1(-x) / (theta T));
+
+    for theta = 0 the mean rate (r/B) e^(-alpha) is maximal where
+    r c e^(c r) = snr_eff, whose log is G(u) = ln k + u + c r. Here
+    c = T ln2 / (TB - 1) and k = c / snr_eff. G is convex and increasing
+    in u, and G >= 0 at r = ln(1 + snr_eff) / c, because
+    (1 + s) ln(1 + s) >= s, and for theta > 0 also at
+    r = ln(1 + theta T / k) / (theta T), where the last term of G is at
+    least -ln k. Newton's method started at the smaller of the two
+    descends monotonically onto the root; it stops once a step changes
+    the rate by at most _NEWTON_STEP_TOL relative.
+
+    An effective SNR of zero gives rate and R_E zero at theta = 0. One
+    so small (zero or subnormal) that k overflows raises DomainError at
+    theta > 0; at theta = 0 the root is then snr_eff / c, since c r
+    rounds away against 1.
     """
-    t = cfg.frame_duration_s
-    tb = cfg.symbols_per_frame
+    tb = t * b
+    gts = gamma * tb * snr
+    if rho is None:
+        rho, _ = _rho_opt(tb, gts)
+    snr_eff = _effective_snr(rho, tb, gts)
+    if snr_eff <= 0.0:
+        if theta > 0.0:
+            raise DomainError("effective SNR is zero at this rho; no rate is optimal")
+        return rho, snr_eff, 0.0, math.inf, 0.0
     c = t * LN2 / (tb - 1.0)
     k = t * LN2 / ((tb - 1.0) * snr_eff)
+    theta_t = theta * t
     if math.isinf(k):
         if theta > 0.0:
             raise DomainError(
                 f"effective SNR {snr_eff!r} is too small to resolve an optimal rate"
             )
-        return snr_eff / c
-    log_k = math.log(k)
-    theta_t = theta * t
-    u = math.log(math.log1p(snr_eff) / c)
-    if theta > 0.0:
-        u = min(u, math.log(math.log1p(theta_t * snr_eff / c) / theta_t))
-    for _ in range(_NEWTON_ITER_MAX):
-        r = math.exp(u)
+        rate = snr_eff / c
+    else:
+        log_k = math.log(k)
+        u = math.log(math.log1p(snr_eff) / c)
         if theta > 0.0:
-            x = theta_t * r
-            grow = -math.expm1(-x)
-            g = log_k + c * r + x + math.log(grow / theta_t)
-            slope = c * r + x / grow
+            u = min(u, math.log(math.log1p(theta_t * snr_eff / c) / theta_t))
+        for _ in range(_NEWTON_ITER_MAX):
+            r = math.exp(u)
+            if theta > 0.0:
+                x = theta_t * r
+                grow = -math.expm1(-x)
+                g = log_k + c * r + x + math.log(grow / theta_t)
+                slope = c * r + x / grow
+            else:
+                g = log_k + u + c * r
+                slope = 1.0 + c * r
+            step = g / slope
+            u = u - step
+            if abs(step) <= _NEWTON_STEP_TOL:
+                break
         else:
-            g = log_k + u + c * r
-            slope = 1.0 + c * r
-        step = g / slope
-        u = u - step
-        if abs(step) <= _NEWTON_STEP_TOL:
-            return math.exp(u)
-    raise ConvergenceError(
-        f"rate solve not converged after {_NEWTON_ITER_MAX} Newton steps"
+            raise ConvergenceError(
+                f"rate solve not converged after {_NEWTON_ITER_MAX} Newton steps"
+            )
+        rate = math.exp(u)
+    alpha = _outage_threshold(rate, t, tb, snr_eff)
+    if theta == 0.0:
+        return rho, snr_eff, rate, alpha, rate / b * math.exp(-alpha)
+    return rho, snr_eff, rate, alpha, _capacity(theta_t, b, rate, alpha)
+
+
+def _result(cfg: LinkConfig, theta: float, rho=None) -> EffCapResult:
+    """_solve on a validated config, as an EffCapResult."""
+    rho, _, rate, alpha, re = _solve(
+        cfg.frame_duration_s,
+        cfg.bandwidth_hz,
+        cfg.fading_variance,
+        nominal_snr(cfg),
+        theta,
+        rho,
     )
-
-
-def optimal_rate(cfg: LinkConfig, qos: QosSpec, rho: float) -> EffCapResult:
-    """Rate maximizing R_E at fixed rho, from the stationarity condition.
-
-    The condition has one root, found by Newton's method in ln r from a
-    start above it (_newton_rate), stopped once a step changes the rate
-    by at most _NEWTON_STEP_TOL relative.
-    """
-    if qos.theta <= 0.0:
-        raise DomainError("optimal_rate needs theta > 0")
-    snr_eff = effective_snr(cfg, rho).effective_snr
-    if snr_eff <= 0.0:
-        raise DomainError("effective SNR is zero at this rho; no rate is optimal")
-
-    rate = _newton_rate(cfg, qos.theta, snr_eff)
-    alpha = outage_threshold(cfg, rate, snr_eff)
-    re = effective_capacity_at(cfg, qos, rate, rho)
     return EffCapResult(
         rate_opt_bps=rate,
         alpha_opt=alpha,
@@ -194,27 +219,29 @@ def optimal_rate(cfg: LinkConfig, qos: QosSpec, rho: float) -> EffCapResult:
     )
 
 
+def optimal_rate(cfg: LinkConfig, qos: QosSpec, rho: float) -> EffCapResult:
+    """Rate maximizing R_E at fixed rho, from the stationarity condition.
+
+    The condition has one root, found by Newton's method in ln r from a
+    start above it (see _solve), stopped once a step changes the rate
+    by at most _NEWTON_STEP_TOL relative.
+    """
+    if qos.theta <= 0.0:
+        raise DomainError("optimal_rate needs theta > 0")
+    return _result(cfg, qos.theta, _check_rho(rho))
+
+
 def effective_capacity_theta0(cfg: LinkConfig, rho: float) -> EffCapResult:
     """Unconstrained-queue limit: maximize the average rate (r/B) e^(-alpha).
 
     The stationarity condition r alpha'(r) = 1 reads
     r c e^(c r) = snr_eff with c = T ln2 / (TB - 1); its left side is
     increasing from zero, so the root is unique. It is solved by the
-    same Newton iteration in ln r as optimal_rate (_newton_rate).
+    same Newton iteration in ln r as optimal_rate (see _solve). With no
+    usable estimate the channel is OFF with certainty: rate and R_E are
+    zero and alpha is infinite.
     """
-    snr_eff = effective_snr(cfg, rho).effective_snr
-    if snr_eff <= 0.0:
-        return _zero_result(rho)
-    rate = _newton_rate(cfg, 0.0, snr_eff)
-    alpha = outage_threshold(cfg, rate, snr_eff)
-    p_on = math.exp(-alpha)
-    return EffCapResult(
-        rate_opt_bps=rate,
-        alpha_opt=alpha,
-        rho_used=rho,
-        spectral_efficiency=rate / cfg.bandwidth_hz * p_on,
-        on_probability=p_on,
-    )
+    return _result(cfg, 0.0, _check_rho(rho))
 
 
 def spectral_efficiency(cfg: LinkConfig, qos: QosSpec) -> EffCapResult:
@@ -224,10 +251,12 @@ def spectral_efficiency(cfg: LinkConfig, qos: QosSpec) -> EffCapResult:
     regardless of theta and the rate, so the joint problem decomposes:
     fix rho at its closed form, then optimize the rate.
     """
-    rho = rho_opt_closed_form(cfg).rho_opt
-    if qos.theta == 0.0:
-        return effective_capacity_theta0(cfg, rho)
-    return optimal_rate(cfg, qos, rho)
+    return _result(cfg, qos.theta)
+
+
+def _bit_energy(t: float, b: float, gamma: float, snr: float, theta: float) -> float:
+    re = _solve(t, b, gamma, snr, theta)[4]
+    return snr / re if re > 0.0 else math.inf
 
 
 def bit_energy(cfg: LinkConfig, qos: QosSpec) -> float:
@@ -236,10 +265,9 @@ def bit_energy(cfg: LinkConfig, qos: QosSpec) -> float:
     Returns inf when the spectral efficiency is zero; that is the
     divergence signal, never an exception.
     """
-    result = spectral_efficiency(cfg, qos)
-    if result.spectral_efficiency <= 0.0:
-        return math.inf
-    return nominal_snr(cfg) / result.spectral_efficiency
+    return _bit_energy(
+        cfg.frame_duration_s, cfg.bandwidth_hz, cfg.fading_variance, nominal_snr(cfg), qos.theta
+    )
 
 
 def bit_energy_db(cfg: LinkConfig, qos: QosSpec) -> float:
@@ -247,97 +275,8 @@ def bit_energy_db(cfg: LinkConfig, qos: QosSpec) -> float:
     return 10.0 * math.log10(bit_energy(cfg, qos))
 
 
-def _spectral_efficiency_grid(cfg: LinkConfig, theta: float, snrs):
-    """Jointly optimal R_E at every nominal SNR of an array, in one solve.
-
-    The array form of spectral_efficiency on with_nominal_snr(cfg, snr):
-    the closed-form rho and effective SNR in the scalar operation order,
-    then Newton's method on the rate stationarity condition in log form,
-    G(u) = 0 with u = ln r, for all SNRs at once (_newton_rate is the
-    same iteration for one SNR). For theta > 0, dR_E/dr = 0 reads
-    k e^(c r) (1 - e^(-x)) = theta T e^(-x) with x = theta T r, whose log
-    is
-
-        G(u) = ln k + c r + x + ln(-expm1(-x) / (theta T));
-
-    for theta = 0, G(u) = ln k + u + c r is ln of r c e^(c r) = snr_eff.
-    Here c = T ln2 / (TB - 1) and k = c / snr_eff. G is convex and
-    increasing in u. G >= 0 at r = ln(1 + snr_eff) / c, because
-    (1 + s) ln(1 + s) >= s, and for theta > 0 also at
-    r = ln(1 + theta T / k) / (theta T), where the last term of G is at
-    least -ln k. Newton's method started at the smaller of the two
-    descends monotonically onto the root. An effective SNR so small
-    (zero or subnormal) that k overflows raises DomainError at
-    theta > 0 and gives rate and R_E zero at theta = 0. Returns the
-    arrays (nominal SNR as with_nominal_snr realizes it, rate in
-    bits/s, R_E in bits/s/Hz).
-    """
-    t = cfg.frame_duration_s
-    b = cfg.bandwidth_hz
-    n0 = cfg.noise_psd
-    gamma = cfg.fading_variance
-    tb = cfg.symbols_per_frame
-
-    snr = np.asarray(snrs, dtype=float) * n0 * b / (n0 * b)
-    gts = gamma * tb * snr
-    eta = (gts + tb - 1.0) / (gts * (tb - 2.0))
-    rho = eta * np.expm1(0.5 * np.log1p(1.0 / eta))
-    with np.errstate(divide="ignore"):
-        snr_eff = rho * (1.0 - rho) * gts / (rho * (tb - 2.0) + 1.0 + (tb - 1.0) / gts)
-    # k is infinite where the effective SNR is zero or subnormal
-    with np.errstate(divide="ignore", over="ignore"):
-        k = t * LN2 / ((tb - 1.0) * snr_eff)
-    usable = np.isfinite(k)
-    if theta > 0.0 and not usable.all():
-        raise DomainError("effective SNR is zero or too small to resolve an optimal rate")
-    snr_eff = np.where(usable, snr_eff, 1.0)
-
-    c = t * LN2 / (tb - 1.0)
-    log_k = np.log(np.where(usable, k, c))
-    theta_t = theta * t
-    u = np.log(np.log1p(snr_eff) / c)
-    if theta > 0.0:
-        u = np.minimum(u, np.log(np.log1p(theta_t * snr_eff / c) / theta_t))
-    for _ in range(_NEWTON_ITER_MAX):
-        r = np.exp(u)
-        if theta > 0.0:
-            x = theta_t * r
-            grow = -np.expm1(-x)
-            g = log_k + c * r + x + np.log(grow / theta_t)
-            slope = c * r + x / grow
-        else:
-            g = log_k + u + c * r
-            slope = 1.0 + c * r
-        step = g / slope
-        u = u - step
-        if np.all(np.abs(step) <= _NEWTON_STEP_TOL):
-            break
-    else:
-        raise ConvergenceError(
-            f"array rate solve not converged after {_NEWTON_ITER_MAX} Newton steps"
-        )
-    rate = np.where(usable, np.exp(u), 0.0)
-
-    # outage_threshold and effective_capacity_at, elementwise
-    exponent = rate * t * LN2 / (tb - 1.0)
-    alpha = np.where(
-        exponent > _EXP_ARG_MAX, np.inf, np.expm1(np.minimum(exponent, _EXP_ARG_MAX)) / snr_eff
-    )
-    if theta == 0.0:
-        return snr, rate, rate / b * np.exp(-alpha)
-    s = theta_t * rate
-    rest = -np.expm1(-alpha) + np.exp(-alpha - s)
-    with np.errstate(divide="ignore"):
-        log_rest = np.where(
-            rest < 0.5,
-            np.where(rest > 0.0, np.log(rest), -s),
-            np.log1p(np.exp(-alpha) * np.expm1(-s)),
-        )
-    return snr, rate, -log_rest / (theta_t * b)
-
-
 def _log_slope_gap(cfg: LinkConfig, qos: QosSpec, log_snr: float) -> float:
-    """h = d ln R_E / d ln SNR - 1 at SNR = e^log_snr, from one scalar solve.
+    """h = d ln R_E / d ln SNR - 1 at SNR = e^log_snr, from one solve.
 
     The bit energy SNR / R_E falls while h > 0 and rises while h < 0.
     The rate and rho are optimal, so by the envelope theorem only the
@@ -346,15 +285,15 @@ def _log_slope_gap(cfg: LinkConfig, qos: QosSpec, log_snr: float) -> float:
     d ln snr_eff / d ln SNR = 1 + (TB - 1) / D at fixed rho, where D is
     the denominator of the effective_snr closed form.
     """
-    link = with_nominal_snr(cfg, math.exp(log_snr))
-    res = spectral_efficiency(link, qos)
-    tb = link.symbols_per_frame
-    rho = res.rho_used
-    gts = link.fading_variance * tb * nominal_snr(link)
+    t, b, gamma = cfg.frame_duration_s, cfg.bandwidth_hz, cfg.fading_variance
+    snr = _realized_snr(math.exp(log_snr), cfg.noise_psd, b)
+    rho, _, _, alpha, re = _solve(t, b, gamma, snr, qos.theta)
+    tb = t * b
+    gts = gamma * tb * snr
     den = rho * gts * (tb - 2.0) + gts + tb - 1.0
-    w = qos.theta * link.frame_duration_s * link.bandwidth_hz * res.spectral_efficiency
+    w = qos.theta * t * b * re
     growth = math.expm1(w) / w if w > 0.0 else 1.0
-    return res.alpha_opt * growth * (1.0 + (tb - 1.0) / den) - 1.0
+    return alpha * growth * (1.0 + (tb - 1.0) / den) - 1.0
 
 
 def _falling_root(h, lo: float, hi: float) -> float:
@@ -397,13 +336,13 @@ def min_bit_energy_numeric(
 ) -> tuple[float, float]:
     """Locate the bit-energy minimum over nominal SNR.
 
-    Evaluates the joint optimum on the whole grid (sorted, positive,
-    finite, at least 16 points) in one array solve, takes the best grid
-    point, and then solves the first-order condition
+    Evaluates the bit energy at every point of the grid (sorted,
+    positive, finite, at least 16 points), takes the best grid point,
+    and then solves the first-order condition
     h = d ln R_E / d ln SNR - 1 = 0 in ln(SNR) between its two
-    neighbours, with h in closed form from one scalar solve per step.
-    The returned minimum bit energy comes from the scalar route
-    (bit_energy_db) at the located SNR. cfg supplies the frame
+    neighbours, with h in closed form from one solve per step. The
+    returned minimum bit energy is bit_energy_db at the located SNR,
+    realized as with_nominal_snr realizes it. cfg supplies the frame
     duration, bandwidth, noise PSD and fading variance; its power
     budget is swept, not read. Returns (snr_at_min, min bit energy in
     dB). A minimizer on a grid endpoint raises GridEndpointError since
@@ -417,10 +356,9 @@ def min_bit_energy_numeric(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("snr_grid must be strictly increasing")
 
-    snr, _, re = _spectral_efficiency_grid(cfg, qos.theta, grid)
-    with np.errstate(divide="ignore"):
-        energy = np.where(re > 0.0, snr / re, np.inf)
-    best = int(np.argmin(energy))
+    t, b, n0, gamma = cfg.frame_duration_s, cfg.bandwidth_hz, cfg.noise_psd, cfg.fading_variance
+    energy = [_bit_energy(t, b, gamma, _realized_snr(s, n0, b), qos.theta) for s in grid]
+    best = energy.index(min(energy))
     if best == 0 or best == len(grid) - 1:
         raise GridEndpointError(
             "bit-energy minimizer sits on a grid endpoint; widen the grid"
@@ -432,4 +370,5 @@ def min_bit_energy_numeric(
         math.log(grid[best + 1]),
     )
     snr_at_min = math.exp(log_snr)
-    return snr_at_min, bit_energy_db(with_nominal_snr(cfg, snr_at_min), qos)
+    energy = _bit_energy(t, b, gamma, _realized_snr(snr_at_min, n0, b), qos.theta)
+    return snr_at_min, 10.0 * math.log10(energy)

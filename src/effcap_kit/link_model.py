@@ -129,6 +129,14 @@ def with_nominal_snr(cfg: LinkConfig, snr: float) -> LinkConfig:
     return replace(cfg, avg_power_w=power)
 
 
+def _realized_snr(snr: float, noise_psd: float, bandwidth: float) -> float:
+    """nominal_snr(with_nominal_snr(cfg, snr)) without building the copy."""
+    power = snr * noise_psd * bandwidth
+    if not 0.0 < power < math.inf:
+        raise DomainError(f"avg_power_w must be finite and > 0, got {power!r}")
+    return power / (noise_psd * bandwidth)
+
+
 def energy_split(cfg: LinkConfig, rho: float) -> EnergySplit:
     """Split the frame energy between the pilot and the data symbols."""
     rho = _check_rho(rho)
@@ -162,17 +170,18 @@ def effective_snr(cfg: LinkConfig, rho: float) -> EstimateStats:
     err_var = gamma * cfg.noise_psd / denom
 
     tb = cfg.symbols_per_frame
-    snr = nominal_snr(cfg)
-    gts = gamma * tb * snr
-    if gts > 0.0:
-        snr_eff = rho * (1.0 - rho) * gts / (rho * (tb - 2.0) + 1.0 + (tb - 1.0) / gts)
-    else:  # gamma TB SNR underflowed
-        snr_eff = 0.0
     return EstimateStats(
         estimate_variance=est_var,
         error_variance=err_var,
-        effective_snr=snr_eff,
+        effective_snr=_effective_snr(rho, tb, gamma * tb * nominal_snr(cfg)),
     )
+
+
+def _effective_snr(rho: float, tb: float, gts: float) -> float:
+    """effective_snr's closed form on floats, with gts = gamma TB SNR."""
+    if gts > 0.0:
+        return rho * (1.0 - rho) * gts / (rho * (tb - 2.0) + 1.0 + (tb - 1.0) / gts)
+    return 0.0  # gamma TB SNR underflowed
 
 
 def outage_threshold(cfg: LinkConfig, rate_bps: float, snr_eff: float) -> float:
@@ -195,7 +204,12 @@ def outage_threshold(cfg: LinkConfig, rate_bps: float, snr_eff: float) -> float:
             "snr_eff must be > 0 for a positive rate; the channel carries "
             "nothing without a usable estimate"
         )
-    exponent = rate_bps * cfg.frame_duration_s * LN2 / (cfg.symbols_per_frame - 1.0)
+    return _outage_threshold(rate_bps, cfg.frame_duration_s, cfg.symbols_per_frame, snr_eff)
+
+
+def _outage_threshold(rate: float, t: float, tb: float, snr_eff: float) -> float:
+    """outage_threshold on floats: rate >= 0 and snr_eff > 0 unchecked."""
+    exponent = rate * t * LN2 / (tb - 1.0)
     if exponent > _EXP_ARG_MAX:
         return math.inf
     return math.expm1(exponent) / snr_eff

@@ -52,9 +52,10 @@ _OVERFLOW_MESSAGE = (
 )
 _NONFINITE_MESSAGE = "increments must not be NaN or -inf"
 
-# frames drawn, accumulated and screened at a time: a few MB of working
-# arrays, and large enough that per-chunk overhead stays negligible
-_CHUNK_FRAMES = 1 << 18
+# frames drawn, accumulated and screened at a time: 256 KB per float
+# working array, so a chunk stays in L2, and large enough that per-chunk
+# overhead stays negligible
+_CHUNK_FRAMES = 1 << 15
 
 _FIT_QUANTILE = 0.99
 _FIT_POINTS = 64

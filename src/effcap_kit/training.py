@@ -33,18 +33,30 @@ def rho_opt_closed_form(cfg: LinkConfig) -> TrainingSolution:
     shrinks eta grows without bound and rho_opt tends to 1/2; as SNR
     grows eta tends to 1/(TB - 2).
     """
-    snr = nominal_snr(cfg)
     tb = cfg.symbols_per_frame
-    gts = cfg.fading_variance * tb * snr
-    eta = (gts + tb - 1.0) / (gts * (tb - 2.0))
-    # sqrt(eta (eta + 1)) - eta cancels badly for large eta; the
-    # expm1/log1p form eta (sqrt(1 + 1/eta) - 1) is exact in both regimes
-    rho = eta * math.expm1(0.5 * math.log1p(1.0 / eta))
+    rho, eta = _rho_opt(tb, cfg.fading_variance * tb * nominal_snr(cfg))
     return TrainingSolution(
         rho_opt=rho,
         eta=eta,
         snr_eff_opt=effective_snr(cfg, rho).effective_snr,
     )
+
+
+def _rho_opt(tb: float, gts: float) -> tuple[float, float]:
+    """(rho_opt, eta) on floats, with gts = gamma TB SNR.
+
+    Raises DomainError when gts is so small (zero or subnormal) or so
+    large that eta is not a finite positive number.
+    """
+    den = gts * (tb - 2.0)
+    eta = (gts + tb - 1.0) / den if den > 0.0 else math.inf
+    if not eta < math.inf:
+        raise DomainError(
+            f"gamma T B SNR = {gts!r} leaves no finite optimal training fraction"
+        )
+    # sqrt(eta (eta + 1)) - eta cancels badly for large eta; the
+    # expm1/log1p form eta (sqrt(1 + 1/eta) - 1) is exact in both regimes
+    return eta * math.expm1(0.5 * math.log1p(1.0 / eta)), eta
 
 
 def rho_opt_numeric(cfg: LinkConfig, xtol: float = 1e-10) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effcap import EffCapResult, QosSpec, spectral_efficiency
+from .effcap import EffCapResult, QosSpec, _solve, spectral_efficiency
 from .errors import ConvergenceError, DomainError
 from .link_model import LN2, LinkConfig, outage_threshold
 
@@ -290,22 +290,35 @@ def optimize_wideband_iid(wcfg: WidebandConfig, qos: QosSpec) -> EffCapResult:
     return spectral_efficiency(sub, qos)
 
 
-def _check_ratio_args(theta: float, t_s: float, n: int, power_over_nn0: float, gamma: float):
+def _positive(name: str, value) -> float:
     try:
-        theta = float(theta)
-        t_s = float(t_s)
-        power_over_nn0 = float(power_over_nn0)
-        gamma = float(gamma)
+        value = float(value)
     except (TypeError, ValueError):
-        raise DomainError("asymptotics arguments must be real numbers") from None
+        raise DomainError(f"{name} must be a real number") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def _check_ratio_args(theta: float, t_s: float, n: int, power_over_nn0: float, gamma: float):
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not (math.isfinite(theta) and theta >= 0.0):
-        raise DomainError(f"theta must be finite and >= 0, got {theta!r}")
-    for name, v in (("T_s", t_s), ("power_over_NN0", power_over_nn0), ("gamma", gamma)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise DomainError(f"{name} must be finite and > 0, got {v!r}")
-    return theta, t_s, int(n), power_over_nn0, gamma
+    return (
+        QosSpec(theta).theta,
+        _positive("T_s", t_s),
+        int(n),
+        _positive("power_over_NN0", power_over_nn0),
+        _positive("gamma", gamma),
+    )
+
+
+def _spread(t_s: float, p: float, gamma: float) -> tuple[float, float]:
+    """q = 1 / (gamma p T) and sqrt(1 + q) - sqrt(q), without cancellation."""
+    gpt = gamma * p * t_s
+    q = 1.0 / gpt if gpt > 0.0 else math.inf
+    if not 0.0 < q < math.inf:
+        raise DomainError(f"gamma p T = {gpt!r} has no finite nonzero inverse")
+    return q, 1.0 / (math.sqrt(1.0 + q) + math.sqrt(q))
 
 
 def training_fraction_expansion(
@@ -319,9 +332,8 @@ def training_fraction_expansion(
         rho*     = sqrt(q (1 + q)) - q
         rho_dot0 = (1 / 2T) sqrt(1 + gamma p T) (sqrt(1 + q) - sqrt(q))^2
     """
-    q = 1.0 / (gamma * power_over_nn0 * t_s)
+    q, spread = _spread(t_s, power_over_nn0, gamma)
     rho_star = q * math.expm1(0.5 * math.log1p(1.0 / q))
-    spread = math.sqrt(1.0 + q) - math.sqrt(q)
     rho_dot0 = (
         0.5 / t_s * math.sqrt(1.0 + gamma * power_over_nn0 * t_s) * spread * spread
     )
@@ -341,8 +353,7 @@ def effective_snr_expansion(
 
     and q = 1 / (gamma p T) as above.
     """
-    q = 1.0 / (gamma * power_over_nn0 * t_s)
-    spread = math.sqrt(1.0 + q) - math.sqrt(q)
+    _, spread = _spread(t_s, power_over_nn0, gamma)
     base = gamma * power_over_nn0 * spread * spread
     phi = base
     omega = -base / t_s * (math.sqrt(1.0 + gamma * power_over_nn0 * t_s) - 2.0)
@@ -380,6 +391,8 @@ def asymptotics_sparse_bounded(
     """
     theta, t_s, n, p, gamma = _check_ratio_args(theta, t_s, n, power_over_nn0, gamma)
     phi, _ = effective_snr_expansion(t_s, p, gamma)
+    if phi == 0.0:
+        raise DomainError(f"phi underflowed to zero at gamma p T = {gamma * p * t_s!r}")
     rho_star, _ = training_fraction_expansion(t_s, p, gamma)
     sqrt_term = math.sqrt(1.0 + gamma * p * t_s) - 1.0
 
@@ -400,6 +413,8 @@ def asymptotics_sparse_bounded(
     # exp(-theta T r*) with r* = phi alpha* / ln2 equals 1/(1+x) exactly,
     # by the fixed-point relation x alpha* = log(1 + x)
     one_minus_xi = math.exp(-alpha_star) * x / (1.0 + x)
+    if not one_minus_xi < 1.0:  # also catches x = inf, where alpha* is NaN
+        raise DomainError(f"theta T phi / ln2 = {x!r} leaves xi no representable value")
     xi = 1.0 - one_minus_xi
     ln_xi = math.log1p(-one_minus_xi)
     delta = theta * t_s * p / LN2
@@ -447,17 +462,10 @@ def asymptotics_numeric_check(
     if grid[-1] / grid[0] < 1e3 * (1.0 - 1e-9):
         raise DomainError("bc_grid must span at least three decades")
 
-    qos = QosSpec(theta)
-    re = np.empty(grid.size)
-    for i, bc in enumerate(grid):
-        sub = LinkConfig(
-            frame_duration_s=t_s,
-            bandwidth_hz=float(bc),
-            noise_psd=1.0,
-            avg_power_w=p,
-            fading_variance=gamma,
-        )
-        re[i] = spectral_efficiency(sub, qos).spectral_efficiency
+    if not (t_s * grid[0] > 2.0 and math.isfinite(grid[-1])):
+        raise DomainError("bc_grid needs finite points with T_s * B_c > 2")
+    # each point is the narrowband problem of LinkConfig(t_s, bc, 1.0, p, gamma)
+    re = np.array([_solve(t_s, bc, gamma, p / bc, theta)[4] for bc in grid.tolist()])
 
     zeta = 1.0 / grid
     ebn0 = (p / grid) / re
@@ -568,12 +576,12 @@ def bit_energy_vs_bandwidth(
     """
     if not isinstance(growth, GrowthLaw):
         raise DomainError("growth must be a GrowthLaw")
-    if not power_over_n0 > 0.0:
-        raise DomainError("power_over_n0 must be > 0")
-    qos = QosSpec(theta)
+    theta = QosSpec(theta).theta
+    t_s, gamma = _positive("T_s", t_s), _positive("gamma", gamma)
+    power_over_n0 = _positive("power_over_n0", power_over_n0)
     points = []
     for b in b_grid:
-        b = float(b)
+        b = _positive("bandwidth", b)
         n = growth.subchannels(b)
         bc = b / n
         if t_s * bc <= 2.0:
@@ -581,16 +589,9 @@ def bit_energy_vs_bandwidth(
                 f"growth law leaves coherence bandwidth {bc!r} Hz with "
                 "frame_duration_s * B_c <= 2"
             )
-        sub = LinkConfig(
-            frame_duration_s=t_s,
-            bandwidth_hz=bc,
-            noise_psd=1.0,
-            avg_power_w=power_over_n0 / n,
-            fading_variance=gamma,
-        )
-        res = spectral_efficiency(sub, qos)
+        # the narrowband problem of LinkConfig(t_s, bc, 1.0, power_over_n0 / n, gamma)
+        re = _solve(t_s, bc, gamma, power_over_n0 / n / bc, theta)[4]
         snr = power_over_n0 / (n * bc)
-        re = res.spectral_efficiency
         ebn0_db = math.inf if re <= 0.0 else 10.0 * math.log10(snr / re)
         points.append(
             WidebandPoint(

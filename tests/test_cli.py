@@ -425,6 +425,26 @@ class TestExitCodes:
         assert run(["--version"]) == 0
         assert __version__ in capsys.readouterr().out
 
+    def test_help_lists_every_target_and_its_flags(self, capsys):
+        # the parser gives flags to the selected target's subparser only,
+        # so each target's help is built on its own
+        assert run(["--help"]) == 0
+        top = capsys.readouterr().out
+        for name, target in cli._TARGETS.items():
+            assert name in top
+            assert run([name, "--help"]) == 0
+            text = capsys.readouterr().out
+            for flag in ("--out", "--config", "--jobs", "--seed"):
+                assert flag in text, (name, flag)
+            for p in target.flags:
+                assert f"--{p.name}" in text, (name, p.name)
+        assert len(cli._TARGETS) == 7
+
+    def test_unknown_target(self, capsys):
+        assert run(["fig6", "--out", "x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "queue-validate" in err
+
 
 class TestWidebandTarget:
     def test_growth_laws_run(self, tmp_path):

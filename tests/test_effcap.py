@@ -11,6 +11,8 @@ from scipy.optimize import brentq, minimize_scalar
 
 from effcap_kit import effcap as effcap_module
 from effcap_kit._scalar import golden_max
+from effcap_kit.effcap import _NEWTON_ITER_MAX, _NEWTON_STEP_TOL
+from effcap_kit.link_model import _EXP_ARG_MAX
 from effcap_kit import (
     ConvergenceError,
     DomainError,
@@ -35,6 +37,98 @@ LN2 = math.log(2.0)
 
 def make_cfg(snr, t=2e-3, b=1e5, gamma=1.0):
     return LinkConfig(t, b, 1.0, snr * b, gamma)
+
+
+def _spectral_efficiency_grid(cfg: LinkConfig, theta: float, snrs):
+    """Jointly optimal R_E at every nominal SNR of an array, in one solve.
+
+    A second, vectorized route to the optimum, kept as the oracle of the
+    scalar solver effcap._solve.
+
+    The array form of spectral_efficiency on with_nominal_snr(cfg, snr):
+    the closed-form rho and effective SNR in the scalar operation order,
+    then Newton's method on the rate stationarity condition in log form,
+    G(u) = 0 with u = ln r, for all SNRs at once (effcap._solve is the
+    same iteration for one SNR). For theta > 0, dR_E/dr = 0 reads
+    k e^(c r) (1 - e^(-x)) = theta T e^(-x) with x = theta T r, whose log
+    is
+
+        G(u) = ln k + c r + x + ln(-expm1(-x) / (theta T));
+
+    for theta = 0, G(u) = ln k + u + c r is ln of r c e^(c r) = snr_eff.
+    Here c = T ln2 / (TB - 1) and k = c / snr_eff. G is convex and
+    increasing in u. G >= 0 at r = ln(1 + snr_eff) / c, because
+    (1 + s) ln(1 + s) >= s, and for theta > 0 also at
+    r = ln(1 + theta T / k) / (theta T), where the last term of G is at
+    least -ln k. Newton's method started at the smaller of the two
+    descends monotonically onto the root. An effective SNR so small
+    (zero or subnormal) that k overflows raises DomainError at
+    theta > 0 and gives rate and R_E zero at theta = 0. Returns the
+    arrays (nominal SNR as with_nominal_snr realizes it, rate in
+    bits/s, R_E in bits/s/Hz).
+    """
+    t = cfg.frame_duration_s
+    b = cfg.bandwidth_hz
+    n0 = cfg.noise_psd
+    gamma = cfg.fading_variance
+    tb = cfg.symbols_per_frame
+
+    snr = np.asarray(snrs, dtype=float) * n0 * b / (n0 * b)
+    gts = gamma * tb * snr
+    eta = (gts + tb - 1.0) / (gts * (tb - 2.0))
+    rho = eta * np.expm1(0.5 * np.log1p(1.0 / eta))
+    with np.errstate(divide="ignore"):
+        snr_eff = rho * (1.0 - rho) * gts / (rho * (tb - 2.0) + 1.0 + (tb - 1.0) / gts)
+    # k is infinite where the effective SNR is zero or subnormal
+    with np.errstate(divide="ignore", over="ignore"):
+        k = t * LN2 / ((tb - 1.0) * snr_eff)
+    usable = np.isfinite(k)
+    if theta > 0.0 and not usable.all():
+        raise DomainError("effective SNR is zero or too small to resolve an optimal rate")
+    snr_eff = np.where(usable, snr_eff, 1.0)
+
+    c = t * LN2 / (tb - 1.0)
+    log_k = np.log(np.where(usable, k, c))
+    theta_t = theta * t
+    u = np.log(np.log1p(snr_eff) / c)
+    if theta > 0.0:
+        u = np.minimum(u, np.log(np.log1p(theta_t * snr_eff / c) / theta_t))
+    for _ in range(_NEWTON_ITER_MAX):
+        r = np.exp(u)
+        if theta > 0.0:
+            x = theta_t * r
+            grow = -np.expm1(-x)
+            g = log_k + c * r + x + np.log(grow / theta_t)
+            slope = c * r + x / grow
+        else:
+            g = log_k + u + c * r
+            slope = 1.0 + c * r
+        step = g / slope
+        u = u - step
+        if np.all(np.abs(step) <= _NEWTON_STEP_TOL):
+            break
+    else:
+        raise ConvergenceError(
+            f"array rate solve not converged after {_NEWTON_ITER_MAX} Newton steps"
+        )
+    rate = np.where(usable, np.exp(u), 0.0)
+
+    # outage_threshold and effective_capacity_at, elementwise
+    exponent = rate * t * LN2 / (tb - 1.0)
+    alpha = np.where(
+        exponent > _EXP_ARG_MAX, np.inf, np.expm1(np.minimum(exponent, _EXP_ARG_MAX)) / snr_eff
+    )
+    if theta == 0.0:
+        return snr, rate, rate / b * np.exp(-alpha)
+    s = theta_t * rate
+    rest = -np.expm1(-alpha) + np.exp(-alpha - s)
+    with np.errstate(divide="ignore"):
+        log_rest = np.where(
+            rest < 0.5,
+            np.where(rest > 0.0, np.log(rest), -s),
+            np.log1p(np.exp(-alpha) * np.expm1(-s)),
+        )
+    return snr, rate, -log_rest / (theta_t * b)
 
 
 def eq14_raw(cfg, theta, rate, rho):
@@ -163,7 +257,7 @@ class TestRateAccuracy:
     def solve_both(t, b, snr, theta, gamma):
         cfg = LinkConfig(t, b, 1.0, snr * b, gamma)
         res = spectral_efficiency(cfg, QosSpec(theta))
-        _, rate, _ = effcap_module._spectral_efficiency_grid(cfg, theta, [snr])
+        _, rate, _ = _spectral_efficiency_grid(cfg, theta, [snr])
         return cfg, res, float(rate[0])
 
     def test_rate_below_an_absolute_xtol(self):
@@ -196,7 +290,7 @@ class TestRateAccuracy:
         assert math.isfinite(res.spectral_efficiency)
         assert res.spectral_efficiency == pytest.approx(383.40177656501754, rel=1e-9)
         assert_local_maximizer(cfg, qos, res)
-        _, _, re = effcap_module._spectral_efficiency_grid(cfg, 0.01, [1e156])
+        _, _, re = _spectral_efficiency_grid(cfg, 0.01, [1e156])
         assert re[0] == pytest.approx(res.spectral_efficiency, rel=1e-12, abs=0.0)
 
     def test_subnormal_effective_snr(self):
@@ -521,7 +615,7 @@ class TestSpectralEfficiencyGrid:
         assume(t * b > 2.0)
         cfg = LinkConfig(t, b, 1.0, b, gamma)
         snrs = [10.0**e for e in log_snrs]
-        nominal, rate, re = effcap_module._spectral_efficiency_grid(cfg, theta, snrs)
+        nominal, rate, re = _spectral_efficiency_grid(cfg, theta, snrs)
         for i, snr in enumerate(snrs):
             link = with_nominal_snr(cfg, snr)
             want = spectral_efficiency(link, QosSpec(theta))
@@ -530,33 +624,58 @@ class TestSpectralEfficiencyGrid:
             assert re[i] == pytest.approx(want.spectral_efficiency, rel=1e-12, abs=0.0)
 
     def test_iteration_cap_raises(self, monkeypatch):
+        # the grid scan of min_bit_energy_numeric runs the scalar solver
         monkeypatch.setattr(effcap_module, "_NEWTON_ITER_MAX", 1)
-        with pytest.raises(ConvergenceError, match="Newton"):
-            min_bit_energy_numeric(fig6_link(1e6), QosSpec(0.01), FIG6_SNR_GRID)
-
-    def test_subnormal_effective_snr(self):
-        # the first SNR gives an effective SNR of 5e-324, so k overflows
-        cfg = LinkConfig(2e-3, 1e6, 1.0, 1e-157)
-        snrs = [1e-163, 1e-3]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="too small"):
-                effcap_module._spectral_efficiency_grid(cfg, 0.01, snrs)
-            _, rate, re = effcap_module._spectral_efficiency_grid(cfg, 0.0, snrs)
-        assert rate[0] == 0.0 and re[0] == 0.0
-        want = spectral_efficiency(with_nominal_snr(cfg, 1e-3), QosSpec(0.0))
-        assert re[1] == pytest.approx(want.spectral_efficiency, rel=1e-12, abs=0.0)
+            for theta in (0.0, 0.01):
+                with pytest.raises(ConvergenceError, match="Newton"):
+                    min_bit_energy_numeric(fig6_link(1e6), QosSpec(theta), FIG6_SNR_GRID)
+
+    @staticmethod
+    def check_unusable_snr(snr, message):
+        # an unusable grid point raises at theta > 0; at theta = 0 it has
+        # zero capacity, so infinite bit energy, and the search goes on
+        cfg = fig6_link(1e6)
+        grid = [snr, *FIG6_SNR_GRID]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                effcap_module._solve(2e-3, 1e6, 1.0, snr, 0.01)
+            with pytest.raises(DomainError, match=message):
+                min_bit_energy_numeric(cfg, QosSpec(0.01), grid)
+            assert effcap_module._solve(2e-3, 1e6, 1.0, snr, 0.0)[4] == 0.0
+            assert bit_energy(with_nominal_snr(cfg, snr), QosSpec(0.0)) == math.inf
+            got = min_bit_energy_numeric(cfg, QosSpec(0.0), grid)
+        assert got == min_bit_energy_numeric(cfg, QosSpec(0.0), FIG6_SNR_GRID)
+
+    def test_subnormal_effective_snr(self):
+        # SNR 1e-163 gives an effective SNR of 5e-324, so k overflows
+        _, snr_eff, *_ = effcap_module._solve(2e-3, 1e6, 1.0, 1e-163, 0.0)
+        assert 0.0 < snr_eff < 1e-320
+        self.check_unusable_snr(1e-163, "too small")
 
     def test_zero_effective_snr(self):
         # gamma T B SNR = 2e-167 gives an effective SNR that underflows to zero
-        cfg = fig6_link(1e6)
-        snrs = [1e-170, 1e-3]
-        with pytest.raises(DomainError):
-            effcap_module._spectral_efficiency_grid(cfg, 0.01, snrs)
-        _, rate, re = effcap_module._spectral_efficiency_grid(cfg, 0.0, snrs)
-        assert rate[0] == 0.0 and re[0] == 0.0
-        want = spectral_efficiency(with_nominal_snr(cfg, 1e-3), QosSpec(0.0))
-        assert re[1] == pytest.approx(want.spectral_efficiency, rel=1e-12, abs=0.0)
+        _, snr_eff, rate, alpha, _ = effcap_module._solve(2e-3, 1e6, 1.0, 1e-170, 0.0)
+        assert snr_eff == 0.0 and rate == 0.0 and alpha == math.inf
+        self.check_unusable_snr(1e-170, "zero")
+
+
+def test_underflowed_nominal_snr_raises_domain_error():
+    # P / (N0 B) = 1e-30 / 1e304 underflows to zero; gamma T B SNR = 0 has
+    # no finite training split, so every solve raises a typed error
+    cfg = LinkConfig(1e-3, 1e4, 1e300, 1e-30)
+    assert nominal_snr(cfg) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="training fraction"):
+            rho_opt_closed_form(cfg)
+        for theta in (0.0, 0.01):
+            with pytest.raises(DomainError, match="training fraction"):
+                spectral_efficiency(cfg, QosSpec(theta))
+            with pytest.raises(DomainError, match="training fraction"):
+                bit_energy_db(cfg, QosSpec(theta))
 
 
 def test_result_invariants():

@@ -1,5 +1,6 @@
 """Parallel-subchannel model, its asymptotics and the growth-law taxonomy."""
 
+import decimal
 import itertools
 import math
 import warnings
@@ -390,8 +391,59 @@ class TestAsymptotics:
         with pytest.raises(DomainError):
             asymptotics_sparse_bounded(0.1, 2e-3, 1, -1e4, 1.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # gamma p T = 1e-302: phi underflows to zero
+            lambda: asymptotics_sparse_bounded(0.01, 1.0, 1, 1e-300, 1e-2),
+            # gamma p T overflows, so q = 1 / (gamma p T) is zero
+            lambda: training_fraction_expansion(1.0, 1e308, 100.0),
+            lambda: effective_snr_expansion(1.0, 1e308, 100.0),
+            lambda: asymptotics_sparse_bounded(0.01, 1.0, 1, 1e308, 100.0),
+            # theta T phi / ln2 = 1.4e304 leaves xi = 1 - 1
+            lambda: asymptotics_sparse_bounded(1e300, 1.0, 1, 1e4, 1.0),
+        ],
+        ids=["phi-underflow", "q-zero-rho", "q-zero-phi", "q-zero-limits", "xi-zero"],
+    )
+    def test_out_of_range_intermediates_raise_domain_error(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                call()
+
+
+def _decimal_expansion(t, p, gamma):
+    """phi and rho_dot0 to 60 significant digits from the float inputs.
+
+    The difference sqrt(1 + q) - sqrt(q) cancels about log10(q) digits,
+    so it is taken at 60 digits more than that.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        t, p, gamma = decimal.Decimal(t), decimal.Decimal(p), decimal.Decimal(gamma)
+        q = 1 / (gamma * p * t)
+        ctx.prec += max(q.adjusted(), 0)
+        spread = (1 + q).sqrt() - q.sqrt()
+        phi = gamma * p * spread * spread
+        rho_dot0 = (1 + gamma * p * t).sqrt() * spread * spread / (2 * t)
+        return float(phi), float(rho_dot0)
+
 
 class TestExpansionCoefficients:
+    @pytest.mark.parametrize(
+        "gpt", [1e2, 1e-2, 1e-6, 1e-8, 1e-12, 1e-16, 1e-40, 1e-100, 1e40, 1e100, 1e300]
+    )
+    def test_spread_matches_decimal_reference(self, gpt):
+        # sqrt(1 + q) - sqrt(q) lost 1.5e-5 relative at gamma p T = 1e-12
+        # and was zero below about 1e-16
+        t, gamma = 2e-3, 1.0
+        p = gpt / (gamma * t)
+        phi, _ = effective_snr_expansion(t, p, gamma)
+        _, rho_dot0 = training_fraction_expansion(t, p, gamma)
+        want_phi, want_rho_dot0 = _decimal_expansion(t, p, gamma)
+        assert phi == pytest.approx(want_phi, rel=1e-13, abs=0.0)
+        assert rho_dot0 == pytest.approx(want_rho_dot0, rel=1e-13, abs=0.0)
+
     def test_rho_star_is_the_vanishing_snr_limit(self):
         # at B_c = 1e10 the per-symbol SNR is tiny and the narrowband
         # optimum must land on the expansion's leading coefficient
