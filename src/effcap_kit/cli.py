@@ -11,12 +11,18 @@ the job and the seed; the second line holds the snake_case column
 names; floats carry 12 significant digits, dB columns end in _db, and
 the only non-finite token ever emitted is the literal inf.
 
-Exit codes: 0 success, 1 domain or validation error, 2 convergence
-failure, 3 I/O error. EFFCAP_SEED provides a default seed.
+Every flag, --seed and --jobs included, is a _Param row: flag, config
+value and cast go through one merge, and the checks in errors.py judge
+the values. A seed from --seed, the config or the EFFCAP_SEED fallback
+lies in [0, 2**64); queue-validate's i-th theta uses (seed + i) mod 2**64.
+
+Exit codes: 0 success, 1 domain or validation error (a bad config file
+included), 2 convergence failure, 3 I/O error.
 """
 
 import argparse
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -27,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .effcap import QosSpec, min_bit_energy_numeric, spectral_efficiency
-from .errors import ConvergenceError, DomainError, EffcapError
+from .errors import ConvergenceError, DomainError, EffcapError, as_integer, as_positive, as_seed
 from .link_model import LinkConfig
 from .queue_sim import RNG_ALGORITHM, SimSpec, simulate_queue
 from .training import rho_opt_closed_form
@@ -51,15 +57,10 @@ class GridSpec:
     def __post_init__(self):
         if self.spacing not in ("log", "linear"):
             raise DomainError(f"spacing must be log or linear, got {self.spacing!r}")
-        p = self.points
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 2:
-            raise DomainError(f"grid needs at least 2 points, got {p!r}")
-        object.__setattr__(self, "points", int(p))
-        lo, hi = float(self.lo), float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
-            raise DomainError(
-                f"grid bounds must be positive with lo < hi, got {lo!r}, {hi!r}"
-            )
+        object.__setattr__(self, "points", as_integer("points", self.points, 2))
+        lo, hi = as_positive("lo", self.lo), as_positive("hi", self.hi)
+        if not lo < hi:
+            raise DomainError(f"grid bounds need lo < hi, got {lo!r}, {hi!r}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -86,32 +87,23 @@ class SweepJob:
             raise DomainError(f"unknown target {self.target!r}")
         if not self.out_path:
             raise DomainError("out_path must be set")
-        thetas = tuple(float(t) for t in self.theta_list)
-        if any(not (math.isfinite(t) and t >= 0.0) for t in thetas):
-            raise DomainError("theta values must be finite and >= 0")
-        object.__setattr__(self, "theta_list", thetas)
-        j = self.jobs
-        if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 1:
-            raise DomainError(f"jobs must be a positive integer, got {j!r}")
-        object.__setattr__(self, "jobs", int(j))
+        object.__setattr__(self, "theta_list", tuple(QosSpec(t).theta for t in self.theta_list))
+        object.__setattr__(self, "jobs", as_integer("jobs", self.jobs, 1))
         if self.seed is not None:
-            s = self.seed
-            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-                raise DomainError(f"seed must be an integer, got {s!r}")
-            object.__setattr__(self, "seed", int(s))
+            object.__setattr__(self, "seed", as_seed("seed", self.seed))
 
 
 def _format_value(value) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if type(value) is float:
+        text = f"{value:.12g}"
+    elif isinstance(value, numbers.Integral):
         return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        raise ConvergenceError("NaN reached an output row")
-    if math.isinf(x):
-        if x < 0:
-            raise ConvergenceError("negative infinity reached an output row")
-        return "inf"
-    return f"{x:.12g}"
+    else:
+        text = f"{float(value):.12g}"
+    # of the texts with an n, only inf is a valid cell: nan and -inf raise
+    if "n" in text and text != "inf":
+        raise ConvergenceError(f"{text} reached an output row")
+    return text
 
 
 def _db(x: float) -> float:
@@ -135,10 +127,8 @@ class _Param:
 
 
 def _parse_thetas(text: str) -> tuple:
-    try:
-        values = tuple(float(part) for part in str(text).split(",") if part.strip())
-    except ValueError:
-        raise DomainError(f"could not parse theta list {text!r}") from None
+    # the parts stay text; SweepJob reads each as a QosSpec theta
+    values = tuple(part for part in str(text).split(",") if part.strip())
     if not values:
         raise DomainError("theta-list must name at least one value")
     return values
@@ -178,6 +168,23 @@ _LINK = (
     ),
     _Param("gamma", "float", 1.0, help="fading variance"),
     _Param("noise-psd", "float", 1.0, help="noise spectral density in W/Hz"),
+)
+
+# flags of every target; _job_from_args supplies their fallbacks
+_COMMON = (
+    _Param(
+        "jobs",
+        "int",
+        required=False,
+        help="worker processes for queue-validate's thetas (default: "
+        "available parallelism); the other targets run in this process",
+    ),
+    _Param(
+        "seed",
+        "int",
+        required=False,
+        help=f"seed in [0, 2**64) (default: ${_SEED_ENV}, then 0 for queue-validate)",
+    ),
 )
 
 _BANDWIDTH = _Param("bandwidth", "float", help="link bandwidth in Hz")
@@ -382,7 +389,7 @@ class _Target:
 
     @property
     def flags(self) -> tuple:
-        return _GRID_PARAMS.get(self.axis, ()) + self.params
+        return _GRID_PARAMS.get(self.axis, ()) + self.params + _COMMON
 
 
 # se-vs-ebn0 and ebn0-vs-snr write the same columns; they differ only in
@@ -561,19 +568,6 @@ def run_sweep(job: SweepJob) -> str:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--config", help="key = value file; flags override it")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for queue-validate's thetas (default: "
-        "available parallelism); the other targets run in this process",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"seed for stochastic jobs (default: ${_SEED_ENV})",
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -604,22 +598,26 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc})") from None
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
 def _merge_params(args: argparse.Namespace, params) -> dict:
     config = _read_config(args.config) if args.config else {}
-    known = {p.dest for p in params} | {"seed", "jobs", "out"}
+    known = {p.dest for p in params} | {"out"}
     for key in config:
         if key not in known:
             raise DomainError(f"unknown config key {key!r} for {args.target}")
@@ -627,37 +625,17 @@ def _merge_params(args: argparse.Namespace, params) -> dict:
     merged = {}
     for p in params:
         raw = getattr(args, p.dest)
-        if raw is None and p.dest in config:
-            raw = config[p.dest]
         if raw is None:
-            if p.default is not None:
-                merged[p.dest] = p.default
-                continue
-            if not p.required:
-                merged[p.dest] = None
-                continue
-            raise DomainError(f"missing required parameter --{p.name}")
+            raw = config.get(p.dest)
+        if raw is None:
+            if p.default is None and p.required:
+                raise DomainError(f"missing required parameter --{p.name}")
+            merged[p.dest] = p.default
+            continue
         try:
             merged[p.dest] = _CASTS[p.kind](raw)
         except (TypeError, ValueError):
             raise DomainError(f"bad value for --{p.name}: {raw!r}") from None
-
-    seed = args.seed
-    if seed is None and "seed" in config:
-        seed = int(config["seed"])
-    if seed is None:
-        env = os.environ.get(_SEED_ENV)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise DomainError(f"{_SEED_ENV} must be an integer, got {env!r}") from None
-    merged["seed"] = seed
-
-    jobs = args.jobs
-    if jobs is None and "jobs" in config:
-        jobs = int(config["jobs"])
-    merged["jobs"] = jobs if jobs is not None else (os.cpu_count() or 1)
     return merged
 
 
@@ -665,13 +643,22 @@ def _job_from_args(args: argparse.Namespace) -> SweepJob:
     target = _TARGETS[args.target]
     merged = _merge_params(args, target.flags)
     seed = merged.pop("seed")
+    env = os.environ.get(_SEED_ENV)
+    if seed is None and env is not None:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise DomainError(f"{_SEED_ENV} must be an integer, got {env!r}") from None
+        seed = as_seed(_SEED_ENV, seed)
+    if seed is None and args.target == "queue-validate":
+        seed = 0
     jobs = merged.pop("jobs")
+    if jobs is None:
+        jobs = os.cpu_count() or 1
 
     grid = None
     if target.axis is not None:
         grid = GridSpec(target.axis, *(merged.pop(p.dest) for p in _GRID_PARAMS[target.axis]))
-    if args.target == "queue-validate" and seed is None:
-        seed = 0
 
     thetas = merged.pop("theta_list", ())
     return SweepJob(

@@ -19,7 +19,7 @@ ln r from a start above the root.
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, GridEndpointError
+from .errors import ConvergenceError, DomainError, GridEndpointError, as_nonnegative
 from .link_model import (
     LN2,
     LinkConfig,
@@ -64,13 +64,7 @@ class QosSpec:
     theta: float
 
     def __post_init__(self):
-        try:
-            theta = float(self.theta)
-        except (TypeError, ValueError):
-            raise DomainError("theta must be a real number") from None
-        if not math.isfinite(theta) or theta < 0.0:
-            raise DomainError(f"theta must be finite and >= 0, got {theta!r}")
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", as_nonnegative("theta", self.theta))
 
 
 @dataclass(frozen=True)
@@ -93,8 +87,7 @@ def effective_capacity_at(
             "effective_capacity_at needs theta > 0; use "
             "effective_capacity_theta0 for the unconstrained limit"
         )
-    if rate_bps < 0.0:
-        raise DomainError(f"rate_bps must be >= 0, got {rate_bps!r}")
+    rate_bps = as_nonnegative("rate_bps", rate_bps)
     if rate_bps == 0.0:
         return 0.0
     snr_eff = effective_snr(cfg, rho).effective_snr

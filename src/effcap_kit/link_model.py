@@ -15,7 +15,7 @@ per-frame bit counts are rate * frame_duration.
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError
+from .errors import DomainError, as_nonnegative, as_positive, as_real
 
 __all__ = [
     "LinkConfig",
@@ -59,13 +59,7 @@ class LinkConfig:
             "avg_power_w",
             "fading_variance",
         ):
-            try:
-                value = float(getattr(self, name))
-            except (TypeError, ValueError):
-                raise DomainError(f"{name} must be a real number") from None
-            if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_positive(name, getattr(self, name)))
         # TB - 2 divides the training formulas, so TB must exceed 2
         if self.symbols_per_frame <= 2.0:
             raise DomainError(
@@ -107,10 +101,7 @@ class EstimateStats:
 
 
 def _check_rho(rho: float) -> float:
-    try:
-        rho = float(rho)
-    except (TypeError, ValueError):
-        raise DomainError("rho must be a real number") from None
+    rho = as_real("rho", rho)
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"rho must lie in [0, 1], got {rho!r}")
     return rho
@@ -123,9 +114,7 @@ def nominal_snr(cfg: LinkConfig) -> float:
 
 def with_nominal_snr(cfg: LinkConfig, snr: float) -> LinkConfig:
     """Copy of cfg whose power budget realizes the given nominal SNR."""
-    if not (snr > 0.0 and math.isfinite(snr)):
-        raise DomainError(f"snr must be finite and > 0, got {snr!r}")
-    power = snr * cfg.noise_psd * cfg.bandwidth_hz
+    power = as_positive("snr", snr) * cfg.noise_psd * cfg.bandwidth_hz
     return replace(cfg, avg_power_w=power)
 
 
@@ -191,14 +180,10 @@ def outage_threshold(cfg: LinkConfig, rate_bps: float, snr_eff: float) -> float:
     rate, strictly increasing in the rate and strictly decreasing in
     the effective SNR.
     """
-    try:
-        rate_bps = float(rate_bps)
-    except (TypeError, ValueError):
-        raise DomainError("rate_bps must be a real number") from None
-    if rate_bps < 0.0 or not math.isfinite(rate_bps):
-        raise DomainError(f"rate_bps must be finite and >= 0, got {rate_bps!r}")
+    rate_bps = as_nonnegative("rate_bps", rate_bps)
     if rate_bps == 0.0:
         return 0.0
+    snr_eff = as_real("snr_eff", snr_eff)
     if not snr_eff > 0.0:
         raise DomainError(
             "snr_eff must be > 0 for a positive rate; the channel carries "

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effcap import QosSpec, spectral_efficiency
-from .errors import DegenerateQueueError, DomainError, InsufficientTailError
+from .errors import (
+    DegenerateQueueError,
+    DomainError,
+    InsufficientTailError,
+    as_integer,
+    as_real,
+    as_seed,
+)
 from .link_model import LinkConfig
 
 __all__ = [
@@ -64,18 +71,6 @@ _BOOTSTRAP_BLOCKS = 200
 _BOOTSTRAP_RESAMPLES = 200
 
 
-def _is_integer(x) -> bool:
-    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
-
-
-def _check_seed(seed) -> int:
-    if not _is_integer(seed):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < 2**64:
-        raise DomainError("seed must fit in 64 unsigned bits")
-    return int(seed)
-
-
 @dataclass(frozen=True)
 class SimSpec:
     """One simulation run: link, QoS target, length, seed and load.
@@ -92,12 +87,9 @@ class SimSpec:
     arrival_margin: float = 1.0
 
     def __post_init__(self):
-        f = self.frames
-        if not _is_integer(f) or f < 1:
-            raise DomainError(f"frames must be a positive integer, got {f!r}")
-        object.__setattr__(self, "frames", int(f))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-        m = float(self.arrival_margin)
+        object.__setattr__(self, "frames", as_integer("frames", self.frames, 1))
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
+        m = as_real("arrival_margin", self.arrival_margin)
         if not 0.0 < m <= 1.0:
             raise DomainError(f"arrival_margin must lie in (0, 1], got {m!r}")
         object.__setattr__(self, "arrival_margin", m)
@@ -115,12 +107,16 @@ class TailEstimate:
 
 def bernoulli_trace(p_on: float, frames: int, seed: int) -> np.ndarray:
     """i.i.d. boolean ON/OFF sequence with P(ON) = p_on."""
+    p_on = as_real("p_on", p_on)
     if not 0.0 <= p_on <= 1.0:
         raise DomainError(f"p_on must lie in [0, 1], got {p_on!r}")
-    if not _is_integer(frames) or frames < 0:
-        raise DomainError(f"frames must be a non-negative integer, got {frames!r}")
-    rng = np.random.default_rng(_check_seed(seed))
-    return rng.random(int(frames)) < p_on
+    frames = as_integer("frames", frames, 0)
+    rng = np.random.default_rng(as_seed("seed", seed))
+    try:
+        draws = rng.random(frames)
+    except ValueError:  # more frames than numpy can index
+        raise DomainError(f"frames = {frames!r} exceeds the largest array") from None
+    return draws < p_on
 
 
 def on_off_trace(cfg: LinkConfig, qos: QosSpec, frames: int, seed: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from ._scalar import golden_max
-from .errors import DomainError
+from .errors import DomainError, as_real
 from .link_model import LinkConfig, effective_snr, nominal_snr
 
 __all__ = ["TrainingSolution", "rho_opt_closed_form", "rho_opt_numeric"]
@@ -68,8 +68,9 @@ def rho_opt_numeric(cfg: LinkConfig, xtol: float = 1e-10) -> float:
     is too flat for comparison-based search alone. Endpoints are never
     returned since the effective SNR vanishes there.
     """
-    if not (0.0 < xtol < 1.0):
-        raise DomainError("xtol must lie in (0, 1)")
+    xtol = as_real("xtol", xtol)
+    if not 0.0 < xtol < 1.0:
+        raise DomainError(f"xtol must lie in (0, 1), got {xtol!r}")
 
     def objective(rho: float) -> float:
         return effective_snr(cfg, rho).effective_snr

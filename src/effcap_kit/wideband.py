@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effcap import EffCapResult, QosSpec, _solve, spectral_efficiency
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, as_integer, as_nonnegative, as_positive, as_real
 from .link_model import LN2, LinkConfig, outage_threshold
 
 __all__ = [
@@ -88,19 +88,15 @@ class WidebandConfig:
     per_subchannel_rho: tuple
 
     def __post_init__(self):
-        n = self.num_subchannels
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise DomainError(f"num_subchannels must be a positive integer, got {n!r}")
-        object.__setattr__(self, "num_subchannels", int(n))
-        bc = float(self.coherence_bandwidth_hz)
-        if not (math.isfinite(bc) and bc > 0.0):
-            raise DomainError("coherence_bandwidth_hz must be finite and > 0")
+        n = as_integer("num_subchannels", self.num_subchannels, 1)
+        object.__setattr__(self, "num_subchannels", n)
+        bc = as_positive("coherence_bandwidth_hz", self.coherence_bandwidth_hz)
         object.__setattr__(self, "coherence_bandwidth_hz", bc)
         if bc * self.link.frame_duration_s <= 2.0:
             raise DomainError(
                 "each subchannel needs frame_duration_s * coherence_bandwidth_hz > 2"
             )
-        total = self.num_subchannels * bc
+        total = n * bc
         if abs(total - self.link.bandwidth_hz) > _REL_TOL * total:
             raise DomainError(
                 "link.bandwidth_hz must equal num_subchannels * "
@@ -290,25 +286,13 @@ def optimize_wideband_iid(wcfg: WidebandConfig, qos: QosSpec) -> EffCapResult:
     return spectral_efficiency(sub, qos)
 
 
-def _positive(name: str, value) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
-    return value
-
-
 def _check_ratio_args(theta: float, t_s: float, n: int, power_over_nn0: float, gamma: float):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
     return (
-        QosSpec(theta).theta,
-        _positive("T_s", t_s),
-        int(n),
-        _positive("power_over_NN0", power_over_nn0),
-        _positive("gamma", gamma),
+        as_nonnegative("theta", theta),
+        as_positive("T_s", t_s),
+        as_integer("n", n, 1),
+        as_positive("power_over_NN0", power_over_nn0),
+        as_positive("gamma", gamma),
     )
 
 
@@ -390,11 +374,13 @@ def asymptotics_sparse_bounded(
     small-theta substitution.
     """
     theta, t_s, n, p, gamma = _check_ratio_args(theta, t_s, n, power_over_nn0, gamma)
+    gpt = gamma * p * t_s
     phi, _ = effective_snr_expansion(t_s, p, gamma)
     if phi == 0.0:
-        raise DomainError(f"phi underflowed to zero at gamma p T = {gamma * p * t_s!r}")
+        raise DomainError(f"phi underflowed to zero at gamma p T = {gpt!r}")
     rho_star, _ = training_fraction_expansion(t_s, p, gamma)
-    sqrt_term = math.sqrt(1.0 + gamma * p * t_s) - 1.0
+    # sqrt(1 + gpt) - 1 without the cancellation at small gpt
+    sqrt_term = gpt / (math.sqrt(1.0 + gpt) + 1.0)
 
     if theta == 0.0:
         bracket = sqrt_term / t_s + 0.5 * phi
@@ -409,14 +395,15 @@ def asymptotics_sparse_bounded(
         )
 
     x = theta * t_s * phi / LN2
+    if not 0.0 < x < math.inf:  # overflowed, or underflowed to 0 at theta > 0
+        raise DomainError(f"theta T phi / ln2 = {x!r} leaves the limits no finite value")
     alpha_star = math.log1p(x) / x
     # exp(-theta T r*) with r* = phi alpha* / ln2 equals 1/(1+x) exactly,
-    # by the fixed-point relation x alpha* = log(1 + x)
+    # by the fixed-point relation x alpha* = log(1 + x); xi = 1 - (1 - xi)
+    # is then taken in the form without cancellation
     one_minus_xi = math.exp(-alpha_star) * x / (1.0 + x)
-    if not one_minus_xi < 1.0:  # also catches x = inf, where alpha* is NaN
-        raise DomainError(f"theta T phi / ln2 = {x!r} leaves xi no representable value")
-    xi = 1.0 - one_minus_xi
-    ln_xi = math.log1p(-one_minus_xi)
+    xi = (1.0 - x * math.expm1(-alpha_star)) / (1.0 + x)
+    ln_xi = math.log1p(-one_minus_xi) if one_minus_xi < 0.5 else math.log(xi)
     delta = theta * t_s * p / LN2
     ebn0_min = -delta * LN2 / ln_xi
     bracket = sqrt_term / t_s + 0.5 * phi * alpha_star
@@ -456,14 +443,13 @@ def asymptotics_numeric_check(
     ConvergenceError if the last decade has not settled to 0.05 dB.
     """
     theta, t_s, n, p, gamma = _check_ratio_args(theta, t_s, n, power_over_nn0, gamma)
-    grid = np.sort(np.asarray([float(b) for b in bc_grid]))
-    if grid.size < 4 or grid[0] <= 0.0:
-        raise DomainError("bc_grid needs at least 4 positive points")
+    grid = np.sort([as_positive("bc_grid entries", b) for b in bc_grid])
+    if grid.size < 4:
+        raise DomainError("bc_grid needs at least 4 points")
     if grid[-1] / grid[0] < 1e3 * (1.0 - 1e-9):
         raise DomainError("bc_grid must span at least three decades")
-
-    if not (t_s * grid[0] > 2.0 and math.isfinite(grid[-1])):
-        raise DomainError("bc_grid needs finite points with T_s * B_c > 2")
+    if not t_s * grid[0] > 2.0:
+        raise DomainError("bc_grid needs T_s * B_c > 2")
     # each point is the narrowband problem of LinkConfig(t_s, bc, 1.0, p, gamma)
     re = np.array([_solve(t_s, bc, gamma, p / bc, theta)[4] for bc in grid.tolist()])
 
@@ -515,17 +501,11 @@ class GrowthLaw:
     def __post_init__(self):
         if self.kind not in ("bounded", "linear", "sublinear"):
             raise DomainError(f"unknown growth-law kind {self.kind!r}")
-        n = self.n_ref
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise DomainError("n_ref must be a positive integer")
-        object.__setattr__(self, "n_ref", int(n))
-        b = float(self.b_ref)
-        if not (math.isfinite(b) and b > 0.0):
-            raise DomainError("b_ref must be finite and > 0")
-        object.__setattr__(self, "b_ref", b)
-        e = float(self.exponent)
+        object.__setattr__(self, "n_ref", as_integer("n_ref", self.n_ref, 1))
+        object.__setattr__(self, "b_ref", as_positive("b_ref", self.b_ref))
+        e = as_real("exponent", self.exponent)
         if self.kind == "sublinear" and not 0.0 < e < 1.0:
-            raise DomainError("sublinear exponent must lie in (0, 1)")
+            raise DomainError(f"sublinear exponent must lie in (0, 1), got {e!r}")
         object.__setattr__(self, "exponent", e)
 
     def subchannels(self, bandwidth_hz: float) -> int:
@@ -576,12 +556,12 @@ def bit_energy_vs_bandwidth(
     """
     if not isinstance(growth, GrowthLaw):
         raise DomainError("growth must be a GrowthLaw")
-    theta = QosSpec(theta).theta
-    t_s, gamma = _positive("T_s", t_s), _positive("gamma", gamma)
-    power_over_n0 = _positive("power_over_n0", power_over_n0)
+    theta = as_nonnegative("theta", theta)
+    t_s, gamma = as_positive("T_s", t_s), as_positive("gamma", gamma)
+    power_over_n0 = as_positive("power_over_n0", power_over_n0)
     points = []
     for b in b_grid:
-        b = _positive("bandwidth", b)
+        b = as_positive("bandwidth", b)
         n = growth.subchannels(b)
         bc = b / n
         if t_s * bc <= 2.0:

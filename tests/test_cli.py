@@ -77,6 +77,14 @@ class TestSweepJob:
         with pytest.raises(DomainError):
             SweepJob(target="rho-vs-snr", out_path="x.csv", fixed={}, jobs=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.0, True])
+    def test_seed_domain_is_the_simulators(self, seed):
+        with pytest.raises(DomainError):
+            SweepJob(target="queue-validate", out_path="x.csv", fixed={}, seed=seed)
+        cfg = effcap_kit.LinkConfig(2e-3, 1e5, 1.0, 1e5)
+        with pytest.raises(DomainError):
+            effcap_kit.SimSpec(cfg, effcap_kit.QosSpec(0.01), 10**6, seed)
+
 
 class TestCsvContract:
     def test_two_point_grid_yields_two_rows(self, tmp_path, capsys):
@@ -381,6 +389,59 @@ class TestConfigMerge:
         )
         assert code == 0
         assert "seed=5 " in read_lines(out)[0]
+
+
+RHO_JOB = ANALYTIC_JOBS[0]
+
+
+class TestInputDomain:
+    """Flags, config values and EFFCAP_SEED share the library's checks."""
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_1(self, tmp_path, capsys, seed):
+        out = tmp_path / "q.csv"
+        assert run(QUEUE_TWO_THETAS + ["--seed", seed, "--out", str(out)]) == 1
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_per_theta_seeds_wrap_at_2_64(self, tmp_path):
+        out = tmp_path / "q.csv"
+        code = run(QUEUE_TWO_THETAS + ["--seed", str(2**64 - 1), "--jobs", "1", "--out", str(out)])
+        assert code == 0
+        lines = read_lines(out)
+        assert f"seed={2**64 - 1} " in lines[0]
+        assert [line.split(",")[-1] for line in lines[2:]] == [str(2**64 - 1), "0"]
+
+    @pytest.mark.parametrize("line, flag", [("seed = x", "--seed"), ("jobs = two", "--jobs")])
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, line, flag):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(line + "\n")
+        code = run(RHO_JOB + ["--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"error: bad value for {flag}" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_bytes(b"points = \xff\xfe\n")
+        code = run(RHO_JOB + ["--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "not UTF-8" in err
+
+    @pytest.mark.parametrize("env", ["-1", str(2**64)])
+    def test_env_seed_outside_64_bits_exits_1(self, tmp_path, capsys, monkeypatch, env):
+        monkeypatch.setenv("EFFCAP_SEED", env)
+        out = tmp_path / "rho.csv"
+        assert run(RHO_JOB + ["--out", str(out)]) == 1
+        assert "EFFCAP_SEED must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_seed_and_jobs_are_read(self, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("seed = 9\njobs = 1\n")
+        out = tmp_path / "rho.csv"
+        assert run(RHO_JOB + ["--config", str(cfg), "--out", str(out)]) == 0
+        assert read_lines(out)[0].endswith("seed=9")
 
 
 class TestExitCodes:

@@ -400,8 +400,9 @@ class TestAsymptotics:
             lambda: training_fraction_expansion(1.0, 1e308, 100.0),
             lambda: effective_snr_expansion(1.0, 1e308, 100.0),
             lambda: asymptotics_sparse_bounded(0.01, 1.0, 1, 1e308, 100.0),
-            # theta T phi / ln2 = 1.4e304 leaves xi = 1 - 1
-            lambda: asymptotics_sparse_bounded(1e300, 1.0, 1, 1e4, 1.0),
+            # theta T phi / ln2 overflows; at theta = 1e300 it is 1.4e304
+            # and xi = 5e-302 is finite (test_xi_matches_decimal_reference)
+            lambda: asymptotics_sparse_bounded(1e305, 1.0, 1, 1e4, 1.0),
         ],
         ids=["phi-underflow", "q-zero-rho", "q-zero-phi", "q-zero-limits", "xi-zero"],
     )
@@ -427,6 +428,56 @@ def _decimal_expansion(t, p, gamma):
         phi = gamma * p * spread * spread
         rho_dot0 = (1 + gamma * p * t).sqrt() * spread * spread / (2 * t)
         return float(phi), float(rho_dot0)
+
+
+def _decimal_limits(theta, t, p, gamma):
+    """xi at theta and the theta = 0 wideband slope, from the float inputs.
+
+    1 - (1 - xi) cancels about log10(theta T phi / ln2) digits and
+    sqrt(1 + gamma p T) - 1 about -log10(gamma p T), so both are taken at
+    60 digits more than they cancel.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        theta, t, p, gamma = D(theta), D(t), D(p), D(gamma)
+        gpt = gamma * p * t
+        ctx.prec += abs(gpt.adjusted())
+        q = 1 / gpt
+        spread = (1 + q).sqrt() - q.sqrt()
+        phi = gamma * p * spread * spread
+        sqrt_term = (1 + gpt).sqrt() - 1
+        slope0 = phi / (D(1).exp() * (sqrt_term / t + phi / 2))
+        if theta == 0:
+            return 1.0, float(slope0)
+        x = theta * t * phi / D(2).ln()
+        ctx.prec += max(x.adjusted(), 0)
+        alpha = (1 + x).ln() / x
+        xi = 1 - (-alpha).exp() * x / (1 + x)
+        return float(xi), float(slope0)
+
+
+class TestClosedFormLimits:
+    @pytest.mark.parametrize("theta", [0.01, 1.0, 1e8, 1e10, 1e12, 1e14, 1e16, 1e300])
+    def test_xi_matches_decimal_reference(self, theta):
+        # xi = 1 - (1 - xi) lost 2.8e-2 relative at theta = 1e12 and
+        # raised DomainError from theta = 1e14 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = asymptotics_sparse_bounded(theta, 1.0, 1, 1e4, 1.0)
+        want, _ = _decimal_limits(theta, 1.0, 1e4, 1.0)
+        assert a.xi == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert all(math.isfinite(v) for v in vars(a).values())
+
+    @pytest.mark.parametrize("gpt", [1e2, 1e-4, 1e-8, 1e-12])
+    def test_sqrt_term_matches_decimal_reference(self, gpt):
+        # sqrt(1 + gamma p T) - 1 sets the theta = 0 slope; it lost 8.9e-5
+        # relative at gamma p T = 1e-12
+        t, gamma = 2e-3, 1.0
+        p = gpt / (gamma * t)
+        a = asymptotics_sparse_bounded(0.0, t, 1, p, gamma)
+        _, want = _decimal_limits(0.0, t, p, gamma)
+        assert a.wideband_slope == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestExpansionCoefficients:
