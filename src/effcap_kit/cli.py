@@ -1,20 +1,24 @@
 """Command-line front end: parameter sweeps with CSV output.
 
-One subcommand per sweep target. Every parameter is a --key value flag;
-a plain key = value file can be passed with --config, and explicit
-flags override the file. The analytic targets evaluate their grid
-points in this process; queue-validate simulates its thetas in up to
---jobs worker processes. Rows are always written in grid order.
+One subcommand per sweep target, which takes only the flags that change
+its output, besides --out and --config. Every parameter is a --key
+value flag; a plain key = value file can be passed with --config, and
+explicit flags override the file. Grids are log-spaced. The analytic
+targets evaluate their grid points in this process; queue-validate
+simulates its thetas in min(thetas, CPUs) worker processes, or in this
+process when that is 1. Rows are always written in grid order.
 
 CSV layout: the first line is a comment header naming the tool version,
-the job and the seed; the second line holds the snake_case column
-names; floats carry 12 significant digits, dB columns end in _db, and
-the only non-finite token ever emitted is the literal inf.
+the job and the seed (seed=none for the analytic targets); the second
+line holds the snake_case column names; floats carry 12 significant
+digits, dB columns end in _db, and the only non-finite token ever
+emitted is the literal inf.
 
-Every flag, --seed and --jobs included, is a _Param row: flag, config
-value and cast go through one merge, and the checks in errors.py judge
-the values. A seed from --seed, the config or the EFFCAP_SEED fallback
-lies in [0, 2**64); queue-validate's i-th theta uses (seed + i) mod 2**64.
+Every flag, queue-validate's --seed included, is a _Param row: flag,
+config value and cast go through one merge, and the checks in errors.py
+judge the values. Only queue-validate draws random numbers, so only it
+takes a seed: from --seed, the config, the EFFCAP_SEED fallback, then 0,
+in [0, 2**64); its i-th theta uses (seed + i) mod 2**64.
 
 Exit codes: 0 success, 1 domain or validation error (a bad config file
 included), 2 convergence failure, 3 I/O error.
@@ -46,17 +50,13 @@ _SEED_ENV = "EFFCAP_SEED"
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis variable swept by a job."""
+    """Log-spaced grid of the axis a job sweeps."""
 
-    axis: str
     lo: float
     hi: float
     points: int
-    spacing: str = "log"
 
     def __post_init__(self):
-        if self.spacing not in ("log", "linear"):
-            raise DomainError(f"spacing must be log or linear, got {self.spacing!r}")
         object.__setattr__(self, "points", as_integer("points", self.points, 2))
         lo, hi = as_positive("lo", self.lo), as_positive("hi", self.hi)
         if not lo < hi:
@@ -65,9 +65,7 @@ class GridSpec:
         object.__setattr__(self, "hi", hi)
 
     def values(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.lo, self.hi, self.points)
-        return np.linspace(self.lo, self.hi, self.points)
+        return np.geomspace(self.lo, self.hi, self.points)
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,6 @@ class SweepJob:
     grid: GridSpec = None
     theta_list: tuple = ()
     seed: int = None
-    jobs: int = 1
 
     def __post_init__(self):
         if self.target not in _TARGETS:
@@ -88,7 +85,6 @@ class SweepJob:
         if not self.out_path:
             raise DomainError("out_path must be set")
         object.__setattr__(self, "theta_list", tuple(QosSpec(t).theta for t in self.theta_list))
-        object.__setattr__(self, "jobs", as_integer("jobs", self.jobs, 1))
         if self.seed is not None:
             object.__setattr__(self, "seed", as_seed("seed", self.seed))
 
@@ -143,12 +139,11 @@ _CASTS = {
 
 
 def _grid_params(prefix: str, what: str) -> tuple:
-    # in GridSpec's argument order: lo, hi, points, spacing
+    # in GridSpec's argument order: lo, hi, points
     return (
         _Param(f"{prefix}-min", "float", help=f"lower edge of the {what}"),
         _Param(f"{prefix}-max", "float", help=f"upper edge of the {what}"),
-        _Param("points", "int", help="number of grid points"),
-        _Param("spacing", "str", "log", help="grid spacing, log or linear"),
+        _Param("points", "int", help="number of log-spaced grid points"),
     )
 
 
@@ -158,39 +153,21 @@ _GRID_PARAMS = {
     "bandwidth": _grid_params("b", "bandwidth grid in Hz"),
 }
 
+_FRAME_DURATION = _Param(
+    "frame-duration",
+    "float",
+    2e-3,
+    help="frame duration T in seconds (default 0.002, the value the "
+    "reference curves assume)",
+)
+_GAMMA = _Param("gamma", "float", 1.0, help="fading variance")
 _LINK = (
-    _Param(
-        "frame-duration",
-        "float",
-        2e-3,
-        help="frame duration T in seconds (default 0.002, the value the "
-        "reference curves assume)",
-    ),
-    _Param("gamma", "float", 1.0, help="fading variance"),
+    _FRAME_DURATION,
+    _GAMMA,
     _Param("noise-psd", "float", 1.0, help="noise spectral density in W/Hz"),
 )
-
-# flags of every target; _job_from_args supplies their fallbacks
-_COMMON = (
-    _Param(
-        "jobs",
-        "int",
-        required=False,
-        help="worker processes for queue-validate's thetas (default: "
-        "available parallelism); the other targets run in this process",
-    ),
-    _Param(
-        "seed",
-        "int",
-        required=False,
-        help=f"seed in [0, 2**64) (default: ${_SEED_ENV}, then 0 for queue-validate)",
-    ),
-)
-
 _BANDWIDTH = _Param("bandwidth", "float", help="link bandwidth in Hz")
 _THETAS = _Param("theta-list", "thetas", help="comma-separated QoS exponents")
-_FRAME_DURATION = _Param("frame-duration", "float", 2e-3, help="frame duration in seconds")
-_GAMMA = _Param("gamma", "float", 1.0, help="fading variance")
 
 
 # row builders: rows(job) returns the CSV rows in output order
@@ -237,7 +214,7 @@ def _rows_narrowband(job):
 def _rows_ebn0min(job):
     f = job.fixed
     t, n0, gamma, s_lo = f["frame_duration"], f["noise_psd"], f["gamma"], f["search_snr_min"]
-    search = np.geomspace(s_lo, f["search_snr_max"], f["search_snr_points"])
+    search = GridSpec(s_lo, f["search_snr_max"], f["search_snr_points"]).values()
     rows = []
     for theta in job.theta_list:
         qos = QosSpec(theta)
@@ -276,8 +253,9 @@ def _rows_asymptotics(job):
     f = job.fixed
     rows = []
     for theta in job.theta_list:
+        # the limits depend on the power per subchannel, not on N
         a = asymptotics_sparse_bounded(
-            theta, f["frame_duration"], f["num_subchannels"], f["power_over_nn0"], f["gamma"]
+            theta, f["frame_duration"], 1, f["power_over_nn0"], f["gamma"]
         )
         rows.append(
             (
@@ -322,8 +300,9 @@ def _rows_queue(job):
     ]
     # a theta simulates millions of frames, which pays for starting a
     # worker process; one grid point of an analytic target does not
-    if job.jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=min(job.jobs, len(items))) as pool:
+    workers = min(len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_row_queue, items))
     return [_row_queue(item) for item in items]
 
@@ -389,7 +368,7 @@ class _Target:
 
     @property
     def flags(self) -> tuple:
-        return _GRID_PARAMS.get(self.axis, ()) + self.params + _COMMON
+        return _GRID_PARAMS.get(self.axis, ()) + self.params
 
 
 # se-vs-ebn0 and ebn0-vs-snr write the same columns; they differ only in
@@ -487,7 +466,6 @@ _TARGETS = {
             _FRAME_DURATION,
             _GAMMA,
             _Param("power-over-nn0", "float", help="avg_power / (N noise_psd) in Hz"),
-            _Param("num-subchannels", "int", 1, help="subchannel count (validated only)"),
         ),
         rows=_rows_asymptotics,
         summarize=_summary_asymptotics,
@@ -511,6 +489,12 @@ _TARGETS = {
             _BANDWIDTH,
             _Param("frames", "int", 1_000_000, help="simulated frames per theta"),
             _Param("arrival-margin", "float", 1.0, help="offered load relative to capacity"),
+            _Param(
+                "seed",
+                "int",
+                required=False,
+                help=f"seed in [0, 2**64) (default: ${_SEED_ENV}, then 0)",
+            ),
         ),
         rows=_rows_queue,
         summarize=_summary_queue,
@@ -642,23 +626,19 @@ def _merge_params(args: argparse.Namespace, params) -> dict:
 def _job_from_args(args: argparse.Namespace) -> SweepJob:
     target = _TARGETS[args.target]
     merged = _merge_params(args, target.flags)
-    seed = merged.pop("seed")
-    env = os.environ.get(_SEED_ENV)
-    if seed is None and env is not None:
+    # only queue-validate has a seed flag, so only it reads the environment
+    seed = merged.pop("seed", None)
+    if seed is None and args.target == "queue-validate":
+        env = os.environ.get(_SEED_ENV, "0")
         try:
             seed = int(env)
         except ValueError:
             raise DomainError(f"{_SEED_ENV} must be an integer, got {env!r}") from None
         seed = as_seed(_SEED_ENV, seed)
-    if seed is None and args.target == "queue-validate":
-        seed = 0
-    jobs = merged.pop("jobs")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
 
     grid = None
     if target.axis is not None:
-        grid = GridSpec(target.axis, *(merged.pop(p.dest) for p in _GRID_PARAMS[target.axis]))
+        grid = GridSpec(*(merged.pop(p.dest) for p in _GRID_PARAMS[target.axis]))
 
     thetas = merged.pop("theta_list", ())
     return SweepJob(
@@ -668,7 +648,6 @@ def _job_from_args(args: argparse.Namespace) -> SweepJob:
         grid=grid,
         theta_list=thetas,
         seed=seed,
-        jobs=jobs,
     )
 
 

@@ -19,7 +19,7 @@ ln r from a start above the root.
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, GridEndpointError, as_nonnegative
+from .errors import ConvergenceError, DomainError, GridEndpointError, as_nonnegative, as_real
 from .link_model import (
     LN2,
     LinkConfig,
@@ -341,7 +341,7 @@ def min_bit_energy_numeric(
     dB). A minimizer on a grid endpoint raises GridEndpointError since
     the true minimum may lie outside.
     """
-    grid = [float(s) for s in snr_grid]
+    grid = [as_real("snr_grid", s) for s in snr_grid]
     if len(grid) < 16:
         raise DomainError(f"snr_grid needs at least 16 points, got {len(grid)}")
     if grid[0] <= 0.0 or not all(math.isfinite(s) for s in grid):

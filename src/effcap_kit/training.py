@@ -45,11 +45,12 @@ def rho_opt_closed_form(cfg: LinkConfig) -> TrainingSolution:
 def _rho_opt(tb: float, gts: float) -> tuple[float, float]:
     """(rho_opt, eta) on floats, with gts = gamma TB SNR.
 
-    Raises DomainError when gts is so small (zero or subnormal) or so
-    large that eta is not a finite positive number.
+    Raises DomainError when gts is infinite, or so small (zero or
+    subnormal) that eta overflows.
     """
-    den = gts * (tb - 2.0)
-    eta = (gts + tb - 1.0) / den if den > 0.0 else math.inf
+    # (gts + TB - 1) / (gts (TB - 2)) without the product, which
+    # overflows at large gts and TB while eta is still positive
+    eta = (1.0 + (tb - 1.0) / gts) / (tb - 2.0) if 0.0 < gts < math.inf else math.inf
     if not eta < math.inf:
         raise DomainError(
             f"gamma T B SNR = {gts!r} leaves no finite optimal training fraction"

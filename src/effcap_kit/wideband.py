@@ -155,22 +155,22 @@ def uniform_wideband_config(
     rho: float = 0.5,
 ) -> WidebandConfig:
     """i.i.d. subchannels with the power budget spread evenly."""
-    n = int(num_subchannels)
+    n = as_integer("num_subchannels", num_subchannels, 1)
+    bc = as_positive("coherence_bandwidth_hz", coherence_bandwidth_hz)
+    power = as_real("total_power_w", total_power_w)
     link = LinkConfig(
         frame_duration_s=frame_duration_s,
-        bandwidth_hz=n * float(coherence_bandwidth_hz),
+        bandwidth_hz=n * bc,
         noise_psd=noise_psd,
-        avg_power_w=total_power_w,
+        avg_power_w=power,
         fading_variance=fading_variance,
     )
-    return WidebandConfig(
-        num_subchannels=n,
-        coherence_bandwidth_hz=float(coherence_bandwidth_hz),
-        link=link,
-        per_subchannel_variances=(float(fading_variance),) * n,
-        per_subchannel_powers=(float(total_power_w) / n,) * n,
-        per_subchannel_rho=(float(rho),) * n,
-    )
+    entries = (as_real("fading_variance", fading_variance), power / n, as_real("rho", rho))
+    try:
+        variances, powers, rhos = [(v,) * n for v in entries]
+    except (OverflowError, MemoryError):
+        raise DomainError(f"{n} subchannels do not fit in memory") from None
+    return WidebandConfig(n, bc, link, variances, powers, rhos)
 
 
 def _outage_thresholds(wcfg: WidebandConfig, rate_bps: float) -> np.ndarray:
@@ -404,16 +404,16 @@ def asymptotics_sparse_bounded(
     one_minus_xi = math.exp(-alpha_star) * x / (1.0 + x)
     xi = (1.0 - x * math.expm1(-alpha_star)) / (1.0 + x)
     ln_xi = math.log1p(-one_minus_xi) if one_minus_xi < 0.5 else math.log(xi)
+    # -ln xi = ratio (1 - xi) with ratio -> 1 as xi -> 1. With theta T =
+    # x ln2 / phi, the limits below never form theta T, which under- or
+    # overflows while x is still finite and positive:
+    #   ebn0_min = theta T p / (-ln xi)
+    #   slope = xi ln(xi)^2 ln2 / (theta T alpha* (1 - xi) bracket)
+    ratio = -ln_xi / one_minus_xi if one_minus_xi > 0.0 else 1.0
     delta = theta * t_s * p / LN2
-    ebn0_min = -delta * LN2 / ln_xi
+    ebn0_min = LN2 * (p / phi) * ((1.0 + x) / ratio) * math.exp(alpha_star)
     bracket = sqrt_term / t_s + 0.5 * phi * alpha_star
-    slope = (
-        xi
-        * ln_xi
-        * ln_xi
-        * LN2
-        / (theta * t_s * alpha_star * one_minus_xi * bracket)
-    )
+    slope = (xi / alpha_star) * ratio * ratio * phi * (math.exp(-alpha_star) / (1.0 + x)) / bracket
     return WidebandAsymptotics(
         phi=phi,
         delta=delta,
@@ -509,12 +509,13 @@ class GrowthLaw:
         object.__setattr__(self, "exponent", e)
 
     def subchannels(self, bandwidth_hz: float) -> int:
+        ratio = as_positive("bandwidth_hz", bandwidth_hz) / self.b_ref
         if self.kind == "bounded":
             return self.n_ref
-        ratio = float(bandwidth_hz) / self.b_ref
-        if self.kind == "linear":
-            return max(1, round(self.n_ref * ratio))
-        return max(1, round(self.n_ref * ratio**self.exponent))
+        count = self.n_ref * (ratio if self.kind == "linear" else ratio**self.exponent)
+        if count == math.inf:
+            raise DomainError(f"subchannel count overflows at bandwidth {bandwidth_hz!r}")
+        return max(1, round(count))
 
 
 def classify_scenario(n_of_b: GrowthLaw) -> ScenarioTag:
@@ -592,12 +593,11 @@ def last_decade_rise_db(b_values, ebn0_db_values) -> float:
     Positive means the bit energy is still climbing (divergence);
     near zero means it has settled.
     """
-    b = np.asarray([float(v) for v in b_values])
-    e = np.asarray([float(v) for v in ebn0_db_values])
-    if b.size != e.size or b.size < 2:
+    b = [as_positive("b_values", v) for v in b_values]
+    e = [as_real("ebn0_db_values", v) for v in ebn0_db_values]
+    if len(b) != len(e) or len(b) < 2:
         raise DomainError("need matching b and ebn0 sequences, at least 2 points")
-    order = np.argsort(b)
-    b, e = b[order], e[order]
-    mask = b >= b[-1] / 10.0 * (1.0 - 1e-12)
-    tail = e[mask]
-    return float(tail[-1] - tail[0])
+    points = sorted(zip(b, e), key=lambda point: point[0])
+    top = points[-1][0] / 10.0 * (1.0 - 1e-12)
+    tail = [v for bv, v in points if bv >= top]
+    return tail[-1] - tail[0]

@@ -4,9 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import effcap_kit
 from effcap_kit import __version__, cli
@@ -43,22 +46,16 @@ class TestFormatValue:
 
 class TestGridSpec:
     def test_log_values(self):
-        g = GridSpec("snr", 1.0, 100.0, 3, "log")
+        g = GridSpec(1.0, 100.0, 3)
         np.testing.assert_allclose(g.values(), [1.0, 10.0, 100.0], rtol=1e-12)
-
-    def test_linear_values(self):
-        g = GridSpec("snr", 1.0, 3.0, 3, "linear")
-        np.testing.assert_allclose(g.values(), [1.0, 2.0, 3.0], rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            GridSpec("snr", 1.0, 100.0, 1)
+            GridSpec(1.0, 100.0, 1)
         with pytest.raises(DomainError):
-            GridSpec("snr", -1.0, 100.0, 4)
+            GridSpec(-1.0, 100.0, 4)
         with pytest.raises(DomainError):
-            GridSpec("snr", 100.0, 1.0, 4)
-        with pytest.raises(DomainError):
-            GridSpec("snr", 1.0, 100.0, 4, "cubic")
+            GridSpec(100.0, 1.0, 4)
 
 
 class TestSweepJob:
@@ -74,8 +71,6 @@ class TestSweepJob:
                 fixed={},
                 theta_list=(-1.0,),
             )
-        with pytest.raises(DomainError):
-            SweepJob(target="rho-vs-snr", out_path="x.csv", fixed={}, jobs=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.0, True])
     def test_seed_domain_is_the_simulators(self, seed):
@@ -190,7 +185,7 @@ class TestDeterminism:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         args = [
             "ebn0-vs-snr",
             "--snr-min", "0.01",
@@ -200,11 +195,13 @@ class TestDeterminism:
             "--theta-list", "0.01",
         ]
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert run(args + ["--jobs", "1", "--out", str(serial)]) == 0
-        assert run(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        assert run(args + ["--out", str(serial)]) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert run(args + ["--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
-    def test_worker_count_does_not_change_minimum_search(self, tmp_path):
+    def test_worker_count_does_not_change_minimum_search(self, tmp_path, monkeypatch):
         args = [
             "ebn0min-vs-bandwidth",
             "--b-min", "1e4",
@@ -213,8 +210,10 @@ class TestDeterminism:
             "--theta-list", "0,0.01",
         ]
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert run(args + ["--jobs", "1", "--out", str(serial)]) == 0
-        assert run(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        assert run(args + ["--out", str(serial)]) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert run(args + ["--out", str(parallel)]) == 0
         assert len(read_lines(serial)) == 2 + 8
         assert serial.read_bytes() == parallel.read_bytes()
 
@@ -297,10 +296,12 @@ class _RecordingPool:
 
 
 class TestEvaluationPolicy:
-    def test_queue_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_queue_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert run(QUEUE_TWO_THETAS + ["--jobs", "1", "--out", str(serial)]) == 0
-        assert run(QUEUE_TWO_THETAS + ["--jobs", "2", "--out", str(parallel)]) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        assert run(QUEUE_TWO_THETAS + ["--out", str(serial)]) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert run(QUEUE_TWO_THETAS + ["--out", str(parallel)]) == 0
         assert len(read_lines(serial)) == 2 + 2
         assert serial.read_bytes() == parallel.read_bytes()
 
@@ -310,19 +311,23 @@ class TestEvaluationPolicy:
             raise AssertionError("an analytic target started a process pool")
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
-        assert run(args + ["--jobs", "2", "--out", str(tmp_path / "x.csv")]) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert run(args + ["--out", str(tmp_path / "x.csv")]) == 0
 
     def test_queue_validate_sizes_its_pool_by_thetas(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         out = str(tmp_path / "q.csv")
-        assert run(QUEUE_TWO_THETAS + ["--jobs", "2", "--out", out]) == 0
-        assert run(QUEUE_TWO_THETAS + ["--jobs", "8", "--out", out]) == 0
+        for cpus in (2, 8):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            assert run(QUEUE_TWO_THETAS + ["--out", out]) == 0
         assert _RecordingPool.sizes == [2, 2]
-        # one worker, or one theta, needs no pool
-        assert run(QUEUE_TWO_THETAS + ["--jobs", "1", "--out", out]) == 0
+        # one CPU, or one theta, needs no pool
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        assert run(QUEUE_TWO_THETAS + ["--out", out]) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         one_theta = QUEUE_TWO_THETAS[:2] + ["0.01"] + QUEUE_TWO_THETAS[3:]
-        assert run(one_theta + ["--jobs", "2", "--out", out]) == 0
+        assert run(one_theta + ["--out", out]) == 0
         assert _RecordingPool.sizes == [2, 2]
 
 
@@ -406,17 +411,17 @@ class TestInputDomain:
 
     def test_per_theta_seeds_wrap_at_2_64(self, tmp_path):
         out = tmp_path / "q.csv"
-        code = run(QUEUE_TWO_THETAS + ["--seed", str(2**64 - 1), "--jobs", "1", "--out", str(out)])
+        code = run(QUEUE_TWO_THETAS + ["--seed", str(2**64 - 1), "--out", str(out)])
         assert code == 0
         lines = read_lines(out)
         assert f"seed={2**64 - 1} " in lines[0]
         assert [line.split(",")[-1] for line in lines[2:]] == [str(2**64 - 1), "0"]
 
-    @pytest.mark.parametrize("line, flag", [("seed = x", "--seed"), ("jobs = two", "--jobs")])
+    @pytest.mark.parametrize("line, flag", [("seed = x", "--seed"), ("arrival-margin = two", "--arrival-margin")])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, line, flag):
         cfg = tmp_path / "job.cfg"
         cfg.write_text(line + "\n")
-        code = run(RHO_JOB + ["--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        code = run(QUEUE_TWO_THETAS + ["--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert f"error: bad value for {flag}" in capsys.readouterr().err
 
@@ -431,17 +436,112 @@ class TestInputDomain:
     @pytest.mark.parametrize("env", ["-1", str(2**64)])
     def test_env_seed_outside_64_bits_exits_1(self, tmp_path, capsys, monkeypatch, env):
         monkeypatch.setenv("EFFCAP_SEED", env)
-        out = tmp_path / "rho.csv"
-        assert run(RHO_JOB + ["--out", str(out)]) == 1
+        out = tmp_path / "q.csv"
+        assert run(QUEUE_TWO_THETAS + ["--out", str(out)]) == 1
         assert "EFFCAP_SEED must lie in [0, 2**64)" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_config_seed_and_jobs_are_read(self, tmp_path):
+    def test_config_seed_and_jobs_are_read(self, tmp_path, capsys):
+        # queue-validate takes a config seed; a jobs key, whose flag is
+        # gone, is read and refused
         cfg = tmp_path / "job.cfg"
+        cfg.write_text("seed = 9\n")
+        out = tmp_path / "q.csv"
+        assert run(QUEUE_TWO_THETAS + ["--config", str(cfg), "--out", str(out)]) == 0
+        assert "seed=9 " in read_lines(out)[0]
         cfg.write_text("seed = 9\njobs = 1\n")
+        assert run(QUEUE_TWO_THETAS + ["--config", str(cfg), "--out", str(out)]) == 1
+        assert "unknown config key 'jobs'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--search-snr-min", "0"), ("--search-snr-points", "-1")])
+    def test_bad_search_grid_exits_1(self, tmp_path, flag, value):
+        # numpy's geomspace raised ValueError on these
+        out = tmp_path / "x.csv"
+        assert run(ANALYTIC_JOBS[3] + [flag, value, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_analytic_target_ignores_env_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EFFCAP_SEED", "-1")
         out = tmp_path / "rho.csv"
-        assert run(RHO_JOB + ["--config", str(cfg), "--out", str(out)]) == 0
-        assert read_lines(out)[0].endswith("seed=9")
+        assert run(RHO_JOB + ["--out", str(out)]) == 0
+        assert read_lines(out)[0].endswith(" seed=none")
+
+    @pytest.mark.parametrize("name", list(cli._TARGETS))
+    def test_removed_flags_exit_1(self, tmp_path, capsys, name):
+        removed = {"jobs": "2"}
+        if name != "queue-validate":
+            removed["seed"] = "1"
+        if cli._TARGETS[name].axis is not None:
+            removed["spacing"] = "log"
+        if name == "asymptotics-table":
+            removed["num-subchannels"] = "1"
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "job.cfg"
+        for flag, value in removed.items():
+            assert run([name, f"--{flag}", value, "--out", str(out)]) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+            cfg.write_text(f"{flag} = {value}\n")
+            assert run([name, "--config", str(cfg), "--out", str(out)]) == 1
+            assert "unknown config key" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _flag_values(argv):
+    return {flag[2:]: value for flag, value in zip(argv[1::2], argv[2::2])}
+
+
+# a valid value for every flag of every target: the test jobs' values,
+# then the declared defaults; queue-validate keeps its 2 thetas x 1e6 frames
+VALID_FLAGS = {
+    name: {
+        p.name: str(p.default)
+        for p in target.flags
+        if p.default is not None
+    }
+    | {"b-ref": "1e8", "seed": "7"}
+    | _flag_values(next(job for job in ANALYTIC_JOBS + [QUEUE_TWO_THETAS] if job[0] == name))
+    for name, target in cli._TARGETS.items()
+}
+
+# every flag's value is drawn from these, beside its valid value
+VALUE_POOL = ("0", "-1", "inf", "-inf", "nan", "1e308", "1e-308", "x", "")
+
+
+@st.composite
+def cli_runs(draw):
+    # every flag at its valid value, but for up to three that are left
+    # out or take a pool value
+    name = draw(st.sampled_from(sorted(cli._TARGETS)))
+    flags = cli._TARGETS[name].flags
+    changed = draw(st.lists(st.sampled_from(flags), max_size=3, unique=True))
+    argv = [name]
+    for p in flags:
+        value = VALID_FLAGS[name][p.name]
+        if p in changed:
+            value = draw(st.sampled_from((None,) + VALUE_POOL))
+        if value is not None:
+            argv += [f"--{p.name}", value]
+    # a config file of random bytes, in one draw of four
+    config = draw(st.binary(max_size=64)) if draw(st.integers(0, 3)) == 0 else None
+    return argv, config
+
+
+class TestInputDomainProperty:
+    @given(run_args=cli_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_main_exits_cleanly(self, run_args):
+        argv, config = run_args
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out.csv")
+            if config is not None:
+                cfg = os.path.join(tmp, "job.cfg")
+                with open(cfg, "wb") as handle:
+                    handle.write(config)
+                argv = argv + ["--config", cfg]
+            code = run(argv + ["--out", out])
+            assert code in (0, 1, 2, 3), argv
+            left = sorted(f for f in os.listdir(tmp) if f != "job.cfg")
+            assert left == (["out.csv"] if code == 0 else []), (argv, code)
 
 
 class TestExitCodes:
@@ -495,8 +595,10 @@ class TestExitCodes:
             assert name in top
             assert run([name, "--help"]) == 0
             text = capsys.readouterr().out
-            for flag in ("--out", "--config", "--jobs", "--seed"):
+            for flag in ("--out", "--config"):
                 assert flag in text, (name, flag)
+            assert ("--seed" in text) == (name == "queue-validate"), name
+            assert "--jobs" not in text and "--spacing" not in text, name
             for p in target.flags:
                 assert f"--{p.name}" in text, (name, p.name)
         assert len(cli._TARGETS) == 7

@@ -18,8 +18,11 @@ from effcap_kit import (
     bit_energy_vs_bandwidth,
     effective_capacity_at,
     effective_snr,
+    last_decade_rise_db,
+    min_bit_energy_numeric,
     outage_threshold,
     rho_opt_numeric,
+    uniform_wideband_config,
     with_nominal_snr,
 )
 from effcap_kit.cli import GridSpec, SweepJob
@@ -29,6 +32,7 @@ CFG = LinkConfig(2e-3, 1e5, 1.0, 1e5)
 QOS = QosSpec(0.01)
 WB_LINK = LinkConfig(2e-3, 2e4, 1.0, 1e3)
 GROWTH = GrowthLaw("sublinear", 4, 1e5)
+SEARCH = np.geomspace(1e-6, 10.0, 48).tolist()
 
 # each boundary with valid values for the arguments the pool replaces
 BOUNDARIES = {
@@ -54,18 +58,34 @@ BOUNDARIES = {
     ),
     "QosSpec": (QosSpec, dict(theta=0.01)),
     "rho_opt_numeric": (lambda xtol: rho_opt_numeric(CFG, xtol), dict(xtol=1e-6)),
-    "GridSpec": (GridSpec, dict(axis="snr", lo=1.0, hi=10.0, points=4, spacing="log")),
+    "min_bit_energy_numeric": (
+        lambda snr: min_bit_energy_numeric(CFG, QOS, [snr] + SEARCH[1:]),
+        dict(snr=1e-6),
+    ),
+    "GridSpec": (GridSpec, dict(lo=1.0, hi=10.0, points=4)),
     "SweepJob": (
-        lambda target, out_path, theta, seed, jobs: SweepJob(
-            target, out_path, {}, theta_list=(theta,), seed=seed, jobs=jobs
+        lambda target, out_path, theta, seed: SweepJob(
+            target, out_path, {}, theta_list=(theta,), seed=seed
         ),
-        dict(target="se-vs-ebn0", out_path="x.csv", theta=0.01, seed=0, jobs=1),
+        dict(target="se-vs-ebn0", out_path="x.csv", theta=0.01, seed=0),
     ),
     "WidebandConfig": (
         lambda n, bc, variance, power, rho: WidebandConfig(
             n, bc, WB_LINK, (variance,) * 2, (power,) * 2, (rho,) * 2
         ),
         dict(n=2, bc=1e4, variance=1.0, power=500.0, rho=0.5),
+    ),
+    "uniform_wideband_config": (
+        uniform_wideband_config,
+        dict(
+            num_subchannels=2,
+            coherence_bandwidth_hz=1e4,
+            frame_duration_s=2e-3,
+            noise_psd=1.0,
+            total_power_w=1e3,
+            fading_variance=1.0,
+            rho=0.5,
+        ),
     ),
     "ratio_args": (
         asymptotics_sparse_bounded,
@@ -78,6 +98,14 @@ BOUNDARIES = {
         dict(theta=0.01, t_s=2e-3, power_over_n0=1e7, gamma=1.0, b=1e6),
     ),
     "GrowthLaw": (GrowthLaw, dict(kind="sublinear", n_ref=4, b_ref=1e5, exponent=0.5)),
+    "GrowthLaw.subchannels": (
+        lambda bandwidth_hz: GrowthLaw("linear", 4, 1e5).subchannels(bandwidth_hz),
+        dict(bandwidth_hz=1e6),
+    ),
+    "last_decade_rise_db": (
+        lambda b, ebn0_db: last_decade_rise_db([b, 1e6], [ebn0_db, 1.0]),
+        dict(b=1e5, ebn0_db=0.0),
+    ),
     "SimSpec": (
         lambda frames, seed, arrival_margin: SimSpec(CFG, QOS, frames, seed, arrival_margin),
         dict(frames=10**6, seed=0, arrival_margin=1.0),

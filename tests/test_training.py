@@ -1,6 +1,7 @@
 """Training energy fraction: closed form against numeric search."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,3 +86,15 @@ def test_optimum_beats_neighbors():
         rho = sol.rho_opt + off
         if 0.0 < rho < 1.0:
             assert effective_snr(cfg, rho).effective_snr <= best + 1e-15
+
+
+def test_eta_survives_an_overflowing_product():
+    # gamma TB SNR (TB - 2) overflows here while eta is about 5e-304; the
+    # product form gave eta = 0 and a ZeroDivisionError
+    cfg = make_cfg(0.01, b=1e308)
+    tb = cfg.symbols_per_frame
+    gts = Fraction(cfg.fading_variance * tb * 0.01)
+    want = (gts + Fraction(tb) - 1) / (gts * (Fraction(tb) - 2))
+    sol = rho_opt_closed_form(cfg)
+    assert sol.eta == pytest.approx(float(want), rel=1e-14, abs=0.0)
+    assert 0.0 < sol.rho_opt < 1.0 and math.isfinite(sol.snr_eff_opt)

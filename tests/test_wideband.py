@@ -22,6 +22,7 @@ from effcap_kit import (
     WidebandConfig,
     asymptotics_numeric_check,
     asymptotics_sparse_bounded,
+    bit_energy,
     bit_energy_vs_bandwidth,
     classify_scenario,
     effective_capacity_at,
@@ -431,9 +432,11 @@ def _decimal_expansion(t, p, gamma):
 
 
 def _decimal_limits(theta, t, p, gamma):
-    """xi at theta and the theta = 0 wideband slope, from the float inputs.
+    """xi, the theta = 0 wideband slope, ebn0_min and the slope at theta,
+    from the float inputs, as the asymptotics_sparse_bounded docstrings
+    write them (the last two are None at theta = 0).
 
-    1 - (1 - xi) cancels about log10(theta T phi / ln2) digits and
+    1 - (1 - xi) cancels about |log10(theta T phi / ln2)| digits and
     sqrt(1 + gamma p T) - 1 about -log10(gamma p T), so both are taken at
     60 digits more than they cancel.
     """
@@ -449,15 +452,35 @@ def _decimal_limits(theta, t, p, gamma):
         sqrt_term = (1 + gpt).sqrt() - 1
         slope0 = phi / (D(1).exp() * (sqrt_term / t + phi / 2))
         if theta == 0:
-            return 1.0, float(slope0)
+            return 1.0, float(slope0), None, None
         x = theta * t * phi / D(2).ln()
-        ctx.prec += max(x.adjusted(), 0)
+        ctx.prec += abs(x.adjusted())
         alpha = (1 + x).ln() / x
-        xi = 1 - (-alpha).exp() * x / (1 + x)
-        return float(xi), float(slope0)
+        one_minus_xi = (-alpha).exp() * x / (1 + x)
+        xi = 1 - one_minus_xi
+        ln_xi = xi.ln()
+        ebn0_min = theta * t * p / -ln_xi
+        bracket = sqrt_term / t + phi * alpha / 2
+        slope = xi * ln_xi * ln_xi * D(2).ln() / (theta * t * alpha * one_minus_xi * bracket)
+        return float(xi), float(slope0), float(ebn0_min), float(slope)
 
 
 class TestClosedFormLimits:
+    @pytest.mark.parametrize(
+        "theta, gamma",
+        [(1e-300, 1.0), (1e-308, 1.0), (1e-320, 1.0), (0.01, 1.0), (1e300, 0.01), (1e305, 0.01)],
+    )
+    def test_limits_match_decimal_reference(self, theta, gamma):
+        # theta T underflows at theta = 1e-308, where the slope raised
+        # ZeroDivisionError, and delta = theta T p / ln2 overflows at 1e305,
+        # where ebn0_min was inf; x = theta T phi / ln2 stays finite in both
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = asymptotics_sparse_bounded(theta, 1.0, 1, 1e4, gamma)
+        _, _, want_ebn0, want_slope = _decimal_limits(theta, 1.0, 1e4, gamma)
+        assert a.ebn0_min == pytest.approx(want_ebn0, rel=1e-13, abs=0.0)
+        assert a.wideband_slope == pytest.approx(want_slope, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("theta", [0.01, 1.0, 1e8, 1e10, 1e12, 1e14, 1e16, 1e300])
     def test_xi_matches_decimal_reference(self, theta):
         # xi = 1 - (1 - xi) lost 2.8e-2 relative at theta = 1e12 and
@@ -465,7 +488,7 @@ class TestClosedFormLimits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a = asymptotics_sparse_bounded(theta, 1.0, 1, 1e4, 1.0)
-        want, _ = _decimal_limits(theta, 1.0, 1e4, 1.0)
+        want = _decimal_limits(theta, 1.0, 1e4, 1.0)[0]
         assert a.xi == pytest.approx(want, rel=1e-13, abs=0.0)
         assert all(math.isfinite(v) for v in vars(a).values())
 
@@ -476,7 +499,7 @@ class TestClosedFormLimits:
         t, gamma = 2e-3, 1.0
         p = gpt / (gamma * t)
         a = asymptotics_sparse_bounded(0.0, t, 1, p, gamma)
-        _, want = _decimal_limits(0.0, t, p, gamma)
+        want = _decimal_limits(0.0, t, p, gamma)[1]
         assert a.wideband_slope == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
@@ -546,6 +569,27 @@ class TestNumericCheck:
         assert abs(got_db - want_db) < 0.05
         assert got_s0 == pytest.approx(closed.wideband_slope, rel=0.05)
 
+    @given(
+        theta=st.one_of(st.just(0.0), st.floats(-4.0, 1.0).map(lambda e: 10.0**e)),
+        log_t=st.floats(-4.0, -1.0),
+        log_p=st.floats(1.0, 6.0),
+        log_gamma=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_richardson_limit_matches_closed_form(self, theta, log_t, log_p, log_gamma):
+        # E(B_c) = E0 + c z + O(z^2) in z = 1/B_c, so two points a decade
+        # apart extrapolate to z = 0 with an O(z^2) error
+        t, p, gamma = 10.0**log_t, 10.0**log_p, 10.0**log_gamma
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = asymptotics_sparse_bounded(theta, t, 1, p, gamma)
+            base = max(1e3 / t, 1e3 * closed.phi)
+            coarse, fine = (
+                bit_energy(LinkConfig(t, 10.0**j * base, 1.0, p, gamma), QosSpec(theta))
+                for j in (3, 4)
+            )
+        assert (10.0 * fine - coarse) / 9.0 == pytest.approx(closed.ebn0_min, rel=1e-10, abs=0.0)
+
     def test_unsettled_grid_is_flagged(self):
         with pytest.raises(ConvergenceError):
             asymptotics_numeric_check(
@@ -594,6 +638,11 @@ class TestGrowthLaws:
     def test_count_never_below_one(self):
         linear = GrowthLaw("linear", 1, 1e8)
         assert linear.subchannels(1e6) == 1
+
+    def test_count_overflow_is_a_domain_error(self):
+        # n_ref B / b_ref is inf here; round(inf) raised OverflowError
+        with pytest.raises(DomainError, match="overflows"):
+            GrowthLaw("linear", 4, 1e-300).subchannels(1e308)
 
 
 class TestBandwidthSweep:
